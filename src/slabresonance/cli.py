@@ -42,6 +42,7 @@ EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
 
 FLOAT_FMT = "{:.12e}"
+MANIFEST_PREFIX = "# manifest: "
 
 
 def _fmt(x) -> str:
@@ -66,7 +67,7 @@ def _manifest(args, command: str) -> dict:
 def _write_csv(path: Path, manifest: dict, header: str, rows, comments=()):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write(header + "\n")
         for row in rows:
             if isinstance(row, str):
@@ -252,9 +253,12 @@ def cmd_validate(args) -> int:
     rng = np.random.default_rng(args.seed)
     path = Path(args.csv)
     rows = []
+    params = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
+            if line.startswith(MANIFEST_PREFIX):
+                params = json.loads(line[len(MANIFEST_PREFIX):]).get("params", {})
             if not line or line.startswith("#") or line.startswith("omega"):
                 continue
             rows.append([float(tok) for tok in line.split(",")])
@@ -273,8 +277,13 @@ def cmd_validate(args) -> int:
         config = LatticeConfig.from_json(args.config)
         picks = rng.choice(len(rows), size=min(args.rows, len(rows)),
                            replace=False)
+        # the CSV rounds omega to 13 digits; re-solve on the exact grid point
+        grid = (np.linspace(*_parse_range(params["omega_range"]), params["grid"])
+                if "omega_range" in params and "grid" in params else None)
         for i in picks:
             om, t_csv = rows[i][0], rows[i][1]
+            if grid is not None:
+                om = float(grid[np.argmin(np.abs(grid - om))])
             sol = solve_scattering(SpectralPoint(args.kappa[0], om), config,
                                    strict=False)
             if abs(abs(sol.transmission) - t_csv) > 1e-9:

@@ -24,6 +24,7 @@ from .scattering import coefficient_triple, eigen_branch, solve_scattering
 
 N_ANGLES = 6
 MAX_RADIUS = 0.02
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -361,59 +362,65 @@ def verify_relations(coeffs: ExpansionCoefficients) -> list[Relation]:
     Case 1: the three relations tying (l1, r1, t1) to (r0, t0), plus the
     conclusions Im r1 = Im t1 = 0 and r1 = t1 = l1.  Case 2: the relations
     tying (l2, r2, t2) to (r0, t0).  Residuals are reported alongside
-    first-order-propagated combined errors.
+    combined errors: the first-order-propagated fit errors plus the rounding
+    floor of evaluating the relation, 4 eps times the sum of its terms'
+    magnitudes.
     """
     c = coeffs
     e = c.error
     out = []
-    norm_err = 2 * c.r0 * e("r0") + 2 * c.t0 * e("t0")
-    out.append(Relation("r0^2 + t0^2 = 1",
-                        abs(1.0 - (c.r0**2 + c.t0**2)), norm_err))
+
+    def add(name, residual, fit_error, *terms):
+        # rounding floor: evaluating the relation costs a few ulps of its terms
+        floor = 4 * EPS * sum(abs(t) for t in terms)
+        out.append(Relation(name, residual, fit_error + floor))
+
+    r0s, t0s = c.r0**2, c.t0**2
+    add("r0^2 + t0^2 = 1", abs(1.0 - (r0s + t0s)),
+        2 * c.r0 * e("r0") + 2 * c.t0 * e("t0"), 1.0, r0s, t0s)
     if c.case == 1:
         l1r = c.l1.real
-        res_sq = abs(l1r**2 - (c.r0**2 * abs(c.r1) ** 2 + c.t0**2 * abs(c.t1) ** 2))
-        err_sq = (
+        sq_r, sq_t = r0s * abs(c.r1) ** 2, t0s * abs(c.t1) ** 2
+        add("l1^2 = r0^2 |r1|^2 + t0^2 |t1|^2",
+            abs(l1r**2 - (sq_r + sq_t)),
             2 * abs(l1r) * e("l1")
             + 2 * c.r0 * abs(c.r1) ** 2 * e("r0")
             + 2 * c.t0 * abs(c.t1) ** 2 * e("t0")
-            + 2 * c.r0**2 * abs(c.r1) * e("r1")
-            + 2 * c.t0**2 * abs(c.t1) * e("t1")
-        )
-        out.append(Relation("l1^2 = r0^2 |r1|^2 + t0^2 |t1|^2", res_sq, err_sq))
-        res_lin = abs(l1r - (c.r0**2 * c.r1.real + c.t0**2 * c.t1.real))
-        err_lin = (
+            + 2 * r0s * abs(c.r1) * e("r1")
+            + 2 * t0s * abs(c.t1) * e("t1"),
+            l1r**2, sq_r, sq_t)
+        lin_r, lin_t = r0s * c.r1.real, t0s * c.t1.real
+        add("l1 = r0^2 Re r1 + t0^2 Re t1",
+            abs(l1r - (lin_r + lin_t)),
             e("l1")
             + 2 * c.r0 * abs(c.r1) * e("r0")
             + 2 * c.t0 * abs(c.t1) * e("t0")
-            + c.r0**2 * e("r1")
-            + c.t0**2 * e("t1")
-        )
-        out.append(Relation("l1 = r0^2 Re r1 + t0^2 Re t1", res_lin, err_lin))
-        out.append(Relation("Im r1 = 0", abs(c.r1.imag), e("r1") + e("l1")))
-        out.append(Relation("Im t1 = 0", abs(c.t1.imag), e("t1") + e("l1")))
-        out.append(Relation("r1 = l1", abs(c.r1 - c.l1), e("r1") + e("l1")))
-        out.append(Relation("t1 = l1", abs(c.t1 - c.l1), e("t1") + e("l1")))
+            + r0s * e("r1")
+            + t0s * e("t1"),
+            l1r, lin_r, lin_t)
+        add("Im r1 = 0", abs(c.r1.imag), e("r1") + e("l1"), c.r1)
+        add("Im t1 = 0", abs(c.t1.imag), e("t1") + e("l1"), c.t1)
+        add("r1 = l1", abs(c.r1 - c.l1), e("r1") + e("l1"), c.r1, c.l1)
+        add("t1 = l1", abs(c.t1 - c.l1), e("t1") + e("l1"), c.t1, c.l1)
     else:
-        res_re = abs(c.l2.real - (c.r0**2 * c.r2.real + c.t0**2 * c.t2.real))
-        err_re = (
+        lin_r, lin_t = r0s * c.r2.real, t0s * c.t2.real
+        add("Re l2 = r0^2 Re r2 + t0^2 Re t2",
+            abs(c.l2.real - (lin_r + lin_t)),
             e("l2")
             + 2 * c.r0 * abs(c.r2) * e("r0")
             + 2 * c.t0 * abs(c.t2) * e("t0")
-            + c.r0**2 * e("r2")
-            + c.t0**2 * e("t2")
-        )
-        out.append(Relation("Re l2 = r0^2 Re r2 + t0^2 Re t2", res_re, err_re))
-        res_sq = abs(
-            abs(c.l2) ** 2 - (c.r0**2 * abs(c.r2) ** 2 + c.t0**2 * abs(c.t2) ** 2)
-        )
-        err_sq = (
+            + r0s * e("r2")
+            + t0s * e("t2"),
+            c.l2.real, lin_r, lin_t)
+        sq_r, sq_t = r0s * abs(c.r2) ** 2, t0s * abs(c.t2) ** 2
+        add("|l2|^2 = r0^2 |r2|^2 + t0^2 |t2|^2",
+            abs(abs(c.l2) ** 2 - (sq_r + sq_t)),
             2 * abs(c.l2) * e("l2")
             + 2 * c.r0 * abs(c.r2) ** 2 * e("r0")
             + 2 * c.t0 * abs(c.t2) ** 2 * e("t0")
-            + 2 * c.r0**2 * abs(c.r2) * e("r2")
-            + 2 * c.t0**2 * abs(c.t2) * e("t2")
-        )
-        out.append(Relation("|l2|^2 = r0^2 |r2|^2 + t0^2 |t2|^2", res_sq, err_sq))
+            + 2 * r0s * abs(c.r2) * e("r2")
+            + 2 * t0s * abs(c.t2) * e("t2"),
+            abs(c.l2) ** 2, sq_r, sq_t)
     return out
 
 

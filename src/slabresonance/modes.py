@@ -246,7 +246,9 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
 
     The branch is traced from seeds found at the first kappa; the grid
     minimizer of |Im omega| is refined by the radiating-amplitude polisher.
-    Returns None when no point reaches |Im omega| < 1e-9.
+    Returns None when no point reaches |Im omega| < 1e-9.  A seed whose
+    branch cannot be traced is skipped; a polisher failure is a solver
+    failure and propagates (ConvergenceError / DispersionSignError).
     """
     kappas = np.linspace(kappa_range[0], kappa_range[1], n_kappa)
     best = None
@@ -262,11 +264,8 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     if best is None:
         return None
     _, samp0 = best
-    try:
-        kappa0, samp = polish_real_point(config, samp0.kappa, samp0.omega,
-                                         samp0.vector)
-    except (ConvergenceError, DispersionSignError):
-        return None
+    kappa0, samp = polish_real_point(config, samp0.kappa, samp0.omega,
+                                     samp0.vector)
     if abs(samp.omega.imag) > IM_OMEGA_TOL:
         return None
     mode = _mode_from_sample(kappa0, samp, config)
@@ -291,11 +290,12 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
                    n_kappa: int = 60):
     """Drive the tunable parameter until a real point appears.
 
-    Stage 1 scans the parameter and minimizes s -> min_kappa |Im omega(kappa; s)|
-    (the minimum touches zero quadratically, so a sign-based bisection does not
-    apply).  Stage 2 runs a 2D Gauss-Newton on the null field's complex
-    order-0 amplitude over (kappa, s), which converges to machine precision.
-    Returns (tuned_config, GuidedMode).
+    Two stages.  Stage 1 scans the parameter on ``n_scan`` points and picks
+    the one minimizing s -> min_kappa |Im omega(kappa; s)| (the minimum
+    touches zero quadratically, so a sign-based bisection does not apply).
+    Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
+    null field's complex order-0 amplitude over (kappa, s), which converges
+    to machine precision.  Returns (tuned_config, GuidedMode).
     """
     if config.tunable is None:
         raise ConvergenceError("tune_structure needs config.tunable")
@@ -312,11 +312,10 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     if existing is not None:
         return config, existing
 
-    # stage 1: bracket the touching parameter on a coarse scan
+    # stage 1: coarse scan of the parameter
     svals = np.linspace(param_range[0], param_range[1], n_scan)
     fvals = []
     samps = []
-    seed_cache = None
     for s in svals:
         cfg_s = config.with_tunable(s)
         seeds = branch_seeds(cfg_s, kappas[0], omega_window)
@@ -331,25 +330,9 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     if not np.isfinite(fvals[i]) or samps[i] is None:
         raise ConvergenceError("tuner: no traceable branch in the scan interval")
 
-    # parabolic refinement of the scan minimum
-    s_best, samp_best = svals[i], samps[i]
-    lo = svals[max(i - 1, 0)]
-    hi = svals[min(i + 1, len(svals) - 1)]
-    for _ in range(18):
-        s_mid = 0.5 * (lo + hi)
-        for s_try in (0.5 * (lo + s_mid), s_mid, 0.5 * (s_mid + hi)):
-            cfg_s = config.with_tunable(s_try)
-            f, samp = _min_im_on_grid(cfg_s, kappas, samp_best.omega)
-            if f < min(fvals[i], np.inf) and samp is not None:
-                fvals[i], s_best, samp_best = f, s_try, samp
-        width = hi - lo
-        lo, hi = s_best - 0.25 * width, s_best + 0.25 * width
-
-    # stage 2: Gauss-Newton on (Re rho, Im rho)(kappa, s)
-    k = float(samp_best.kappa)
-    s = float(s_best)
-    om = samp_best.omega
-    vec = samp_best.vector
+    # stage 2: Gauss-Newton on (Re rho, Im rho)(kappa, s) from the scan minimum
+    k, s = float(samps[i].kappa), float(svals[i])
+    om, vec = samps[i].omega, samps[i].vector
 
     def rho_of(kv, sv, omg, anc):
         cfg = config.with_tunable(sv)

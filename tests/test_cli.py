@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from slabresonance import modes
 from slabresonance.cli import main
+from slabresonance.errors import ConvergenceError
 
 CASE2 = "configs/case2_symmetric.json"
 CASE1_SEED = "configs/case1_seed.json"
@@ -110,6 +112,17 @@ class TestModeCommands:
                     "--grid", "40", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_find_mode_solver_failure_exit_3(self, tmp_path, monkeypatch):
+        """A polisher failure is a numerical failure, not "no mode"."""
+        def fail(*args, **kwargs):
+            raise ConvergenceError("polisher did not converge")
+
+        monkeypatch.setattr(modes, "polish_real_point", fail)
+        code = run(["find-mode", "--config", CASE2,
+                    "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                    "--grid", "80", "--out", str(tmp_path)])
+        assert code == 3
+
     def test_invalid_config_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"period": 0, "defects": []}')
@@ -158,6 +171,15 @@ class TestValidate:
         csv = next(out.glob("*.csv"))
         assert run(["validate", "--csv", str(csv), "--config", CASE2,
                     "--kappa", "0.05", "--rows", "3"]) == 0
+
+    def test_validate_readme_every_row(self, tmp_path):
+        """The README sweep re-solves on all 400 rows despite CSV rounding."""
+        out = tmp_path / "t"
+        run(["transmission", "--config", CASE2, "--kappa", "0.02",
+             "--omega-range", "1.40:1.55", "--grid", "400", "--out", str(out)])
+        csv = out / "transmission_kappa_+0.020000.csv"
+        assert run(["validate", "--csv", str(csv), "--config", CASE2,
+                    "--kappa", "0.02", "--rows", "400"]) == 0
 
     def test_validate_rejects_tampered_csv(self, tmp_path):
         out = tmp_path / "t"

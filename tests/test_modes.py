@@ -122,6 +122,29 @@ class TestTuner:
                 f"baseline={base:.2e}"
             )
 
+    # the case1_tuned fixture itself covers (0.08, 0.32), (1.30, 1.46), (0.05, 0.8)
+    @pytest.mark.parametrize("kappa_range, omega_window, param_range", [
+        ((0.08, 0.32), (1.30, 1.46), None),
+        ((0.08, 0.32), (1.30, 1.46), (0.3, 0.6)),
+        ((0.075, 0.325), (1.295, 1.465), (0.05, 0.8)),
+    ])
+    def test_scan_minimum_in_newton_basin(self, case1_seed_config, case1_tuned,
+                                          kappa_range, omega_window,
+                                          param_range):
+        """Gauss-Newton from the coarse-scan minimum reaches one tuned point.
+
+        The tuner starts Gauss-Newton at the coarse-scan minimum, so that
+        minimum must lie in the basin for every scan interval and window.
+        The default interval straddles g = 0; g enters only as g^2, so the
+        tuner may land on -g.
+        """
+        ref_config, ref_mode = case1_tuned
+        tuned, mode = tune_structure(case1_seed_config, kappa_range,
+                                     omega_window, param_range=param_range)
+        assert abs(abs(tuned.tunable_value) - ref_config.tunable_value) < 1e-10
+        assert abs(mode.kappa0 - ref_mode.kappa0) < 1e-10
+        assert abs(mode.omega0 - ref_mode.omega0) < 1e-10
+
     def test_requires_tunable(self, case2_config):
         with pytest.raises(ConvergenceError):
             tune_structure(case2_config, (-0.2, 0.2), (1.3, 1.7))
