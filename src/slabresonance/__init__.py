@@ -60,7 +60,6 @@ from .expansion import (
     verify_relations,
 )
 from .anomaly import (
-    AnomalyPrediction,
     enhancement_scaling,
     fano_reduce,
     fano_shape,

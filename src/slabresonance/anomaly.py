@@ -11,8 +11,6 @@ real and balanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConvergenceError
@@ -22,18 +20,6 @@ from .modes import GuidedMode, omega_root
 from .scattering import field_enhancement, solve_scattering
 
 FANO_CONDITION_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class AnomalyPrediction:
-    """Model transmission curve at fixed kappa plus derived features."""
-
-    kappa: float
-    omega: np.ndarray
-    model: np.ndarray
-    omega_peak: float
-    omega_dip: float
-    fano: dict | None = field(default=None)
 
 
 def formula_case1(coeffs: ExpansionCoefficients, kappa: float, omega) -> np.ndarray:
@@ -225,15 +211,3 @@ def enhancement_scaling(config: LatticeConfig, mode: GuidedMode,
     slope = float(np.polyfit(np.log(kts), np.log(peaks), 1)[0])
     return slope, list(zip([float(k) for k in kappa_list], [float(p) for p in peaks]))
 
-
-def predict(coeffs: ExpansionCoefficients, kappa: float,
-            n_grid: int = 401) -> AnomalyPrediction:
-    """Model curve over the anomaly window plus peak/dip and Fano data."""
-    lo, hi = anomaly_window(coeffs, kappa)
-    omega = np.linspace(lo, hi, n_grid)
-    model = model_transmission(coeffs, kappa, omega)
-    pk, dp = peak_dip_locations(coeffs, kappa)
-    fano = None
-    if coeffs.case == 2:
-        fano = fano_reduce(coeffs, kappa - coeffs.kappa0)
-    return AnomalyPrediction(kappa, omega, model, pk, dp, fano)

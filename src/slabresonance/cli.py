@@ -1,8 +1,9 @@
 """Command-line front end: sweeps, mode search, tuning, analysis, validation.
 
 Outputs are CSV for curves and JSON for reports.  Every file records the
-manifest (command, config path, parameter ranges, seed, tool version) that
-produced it, so identical manifests reproduce byte-identical outputs.
+manifest (command, config path, parameters, tool version and numerical
+stack) that produced it, so identical manifests reproduce byte-identical
+outputs.
 
 Exit codes: 0 success, 2 no-mode-found, 3 numerical failure, 4 config error.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -33,7 +35,14 @@ from .errors import (
 )
 from .expansion import extract_coefficients, verify_relations
 from .lattice import LatticeConfig, SpectralPoint
-from .modes import GuidedMode, branch_seeds, find_real_mode, trace_branch, tune_structure
+from .modes import (
+    GuidedMode,
+    branch_seeds,
+    find_real_mode,
+    polish_mode,
+    trace_branch,
+    tune_structure,
+)
 from .scattering import solve_scattering
 
 EXIT_OK = 0
@@ -52,14 +61,15 @@ def _fmt(x) -> str:
 def _manifest(args, command: str) -> dict:
     params = {}
     for key in ("kappa", "kappa_range", "omega_range", "grid", "param_range",
-                "kappa_tilde", "rows"):
+                "kappa_tilde", "mode"):
         if hasattr(args, key) and getattr(args, key) is not None:
             params[key] = getattr(args, key)
     return {
         "command": command,
         "config": str(getattr(args, "config", "")),
         "params": params,
-        "seed": getattr(args, "seed", 0),
+        "stack": {"machine": platform.machine(), "numpy": np.__version__,
+                  "python": platform.python_version()},
         "version": __version__,
     }
 
@@ -202,12 +212,7 @@ def cmd_analyze(args) -> int:
     if args.mode:
         with open(args.mode) as fh:
             data = json.load(fh)
-        mode = find_real_mode(
-            config,
-            (data["kappa0"] - 0.01, data["kappa0"] + 0.01),
-            (data["omega0"] - 0.05, data["omega0"] + 0.05),
-            n_kappa=30,
-        )
+        mode = polish_mode(config, data["kappa0"], data["omega0"], None)
     else:
         mode = find_real_mode(config, _parse_range(args.kappa_range),
                               _parse_range(args.omega_range), n_kappa=args.grid)
@@ -302,12 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, out=True):
-        if config:
-            p.add_argument("--config", required=True, help="config JSON path")
-        if out:
-            p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+    def common(p):
+        p.add_argument("--config", required=True, help="config JSON path")
+        p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("dispersion", help="trace omega(kappa) to CSV")
     common(p)
@@ -339,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="coefficients, relations, comparisons")
     common(p)
-    p.add_argument("--mode", help="mode JSON from find-mode/tune")
+    p.add_argument("--mode", help="mode JSON from find-mode/tune: polish "
+                   "from its (kappa0, omega0) instead of scanning")
     p.add_argument("--kappa-range", default="0.0:0.3", metavar="LO:HI")
     p.add_argument("--omega-range", default="0.5:1.7", metavar="LO:HI")
     p.add_argument("--kappa-tilde", type=float, action="append",

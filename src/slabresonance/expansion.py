@@ -34,8 +34,7 @@ class ExpansionCoefficients:
     l1..l3 belong to the eigenvalue zero curve, r1, r2 to the scaled
     reflection, t1, t2 to the scaled transmission; r0, t0 are the background
     moduli and eta1, eta2 (case 1) or eta (case 2) the measurable real parts
-    of the background slope factors.  theta1..theta3 are the unit-factor
-    phases at the center; they are stored but enter no downstream formula.
+    of the background slope factors.
     """
 
     kappa0: float
@@ -52,9 +51,6 @@ class ExpansionCoefficients:
     eta1: float = 0.0
     eta2: float = 0.0
     eta: float = 0.0
-    theta1: float = 0.0
-    theta2: float = 0.0
-    theta3: float = 0.0
     case: int = 1
     fit_errors: dict = field(default_factory=dict)
 
@@ -75,7 +71,6 @@ class ExpansionCoefficients:
             "t1": c(self.t1), "t2": c(self.t2),
             "r0": self.r0, "t0": self.t0,
             "eta1": self.eta1, "eta2": self.eta2, "eta": self.eta,
-            "theta": [self.theta1, self.theta2, self.theta3],
             # infinite error marks a deliberately dropped coefficient
             "fit_errors": {
                 k: (float(v) if np.isfinite(v) else None)
@@ -278,18 +273,6 @@ def classify_case(coeffs: ExpansionCoefficients) -> int:
     return _classify_linear(coeffs.l1, coeffs.error("l1"))
 
 
-def _unit_phases(config, mode, r0, t0, delta=5e-4):
-    """arg of each unit factor at the center, from f ~ e^(i theta) * varpi."""
-    anchor = mode.nullvector
-    point = SpectralPoint(mode.kappa0, mode.omega0 + delta)
-    trip = coefficient_triple(point, config, anchor)
-    return (
-        float(np.angle(trip.eigval / delta)),
-        float(np.angle(trip.refl / (r0 * delta))),
-        float(np.angle(trip.trans / (t0 * delta))),
-    )
-
-
 def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
                          radius: float | None = None) -> ExpansionCoefficients:
     """Full coefficient extraction: three zero curves plus background."""
@@ -319,7 +302,6 @@ def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
         errors["eta2"] = bg["eta2_err"]
     else:
         errors["eta"] = bg["eta_err"]
-    th1, th2, th3 = _unit_phases(config, mode, bg["r0"], bg["t0"])
     return ExpansionCoefficients(
         kappa0=mode.kappa0,
         omega0=mode.omega0,
@@ -329,7 +311,6 @@ def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
         r0=bg["r0"], t0=bg["t0"],
         eta1=bg.get("eta1", 0.0), eta2=bg.get("eta2", 0.0),
         eta=bg.get("eta", 0.0),
-        theta1=th1, theta2=th2, theta3=th3,
         case=case,
         fit_errors=errors,
     )

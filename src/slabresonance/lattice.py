@@ -11,7 +11,7 @@ effective potential.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class OrderSpectrum:
     kappa_p: np.ndarray
     eta: np.ndarray
     propagating: np.ndarray
-    point: SpectralPoint = field(repr=False, default=None)
 
 
 def order_wavenumber(kappa_p: complex, omega: complex) -> complex:
@@ -229,7 +228,7 @@ def propagating_orders(point: SpectralPoint, period: int) -> OrderSpectrum:
             f"kappa={kappa}, omega={omega}"
         )
     eta = np.array([order_wavenumber(k, omega) for k in kappa_p])
-    return OrderSpectrum(kappa_p.astype(complex), eta, (w > 0) & (w < 1), point)
+    return OrderSpectrum(kappa_p.astype(complex), eta, (w > 0) & (w < 1))
 
 
 def wood_distance(point: SpectralPoint, period: int) -> float:
@@ -272,9 +271,13 @@ def effective_potential(omega: complex, config: LatticeConfig) -> np.ndarray:
     return v
 
 
-def greens_matrix(point: SpectralPoint, config: LatticeConfig) -> np.ndarray:
-    """Matrix of Green's values between all defect-site pairs."""
-    kappa_p, eta, tp = order_arrays(point.kappa, point.omega, config.period)
+def greens_matrix(orders, config: LatticeConfig) -> np.ndarray:
+    """Matrix of Green's values between all defect-site pairs.
+
+    ``orders`` is the ``(kappa_p, eta, 1/(2i sin eta))`` triple of
+    ``order_arrays`` at the spectral point.
+    """
+    kappa_p, eta, tp = orders
     dx = config.xs[:, None] - config.xs[None, :]
     dz = np.abs(config.zs[:, None] - config.zs[None, :])
     phases = np.exp(
@@ -284,12 +287,22 @@ def greens_matrix(point: SpectralPoint, config: LatticeConfig) -> np.ndarray:
     return np.einsum("p,pjk->jk", tp, phases) / config.period
 
 
+def evaluate_point(point: SpectralPoint, config: LatticeConfig):
+    """Everything a spectral point yields, each piece computed once.
+
+    Returns ``(orders, v_eff, a)``: the order arrays of ``order_arrays``,
+    the diagonal V_eff on the defect sites and A = I - G V_eff.
+    """
+    orders = order_arrays(point.kappa, point.omega, config.period)
+    g = greens_matrix(orders, config)
+    v = effective_potential(point.omega, config)
+    return orders, v, np.eye(len(config.defects), dtype=complex) - g * v[None, :]
+
+
 def interaction_matrix(point: SpectralPoint, config: LatticeConfig) -> np.ndarray:
     """Finite interaction matrix A = I - G V_eff on the defect sites.
 
     The total field psi on defect sites solves ``A psi = phi_inc``; A is
     analytic in (kappa, omega) away from branch points and pendant poles.
     """
-    g = greens_matrix(point, config)
-    v = effective_potential(point.omega, config)
-    return np.eye(len(config.defects), dtype=complex) - g * v[None, :]
+    return evaluate_point(point, config)[2]

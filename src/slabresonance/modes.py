@@ -162,10 +162,10 @@ def branch_seeds(config: LatticeConfig, kappa, omega_window, n_grid=120):
 
 def null_order0_amplitudes(kappa, omega, config, vec):
     """Order-0 right/left amplitudes of the (near-)null field ``vec``."""
-    point = SpectralPoint(kappa, omega)
     weighted = effective_potential(omega, config) * vec
-    right = order_amplitude(point, config, weighted, 0, +1)
-    left = order_amplitude(point, config, weighted, 0, -1)
+    orders = order_arrays(kappa, omega, config.period)
+    right = order_amplitude(orders, config, weighted, 0, +1)
+    left = order_amplitude(orders, config, weighted, 0, -1)
     return right, left
 
 
@@ -264,8 +264,17 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     if best is None:
         return None
     _, samp0 = best
-    kappa0, samp = polish_real_point(config, samp0.kappa, samp0.omega,
-                                     samp0.vector)
+    return polish_mode(config, samp0.kappa, samp0.omega, samp0.vector)
+
+
+def polish_mode(config: LatticeConfig, kappa_guess, omega_guess,
+                anchor) -> GuidedMode | None:
+    """Polish a guess into a real point; the mode there, or None if none.
+
+    None when the polished point keeps |Im omega| > 1e-9 or its null field
+    radiates more than 1e-8; a polisher failure propagates.
+    """
+    kappa0, samp = polish_real_point(config, kappa_guess, omega_guess, anchor)
     if abs(samp.omega.imag) > IM_OMEGA_TOL:
         return None
     mode = _mode_from_sample(kappa0, samp, config)
@@ -381,11 +390,12 @@ def decay_profile(mode: GuidedMode, config: LatticeConfig, n_lo=5, n_hi=20):
     from .scattering import scattered_field_at
 
     point = SpectralPoint(mode.kappa0, mode.omega0)
-    kappa_p, eta, tp = order_arrays(mode.kappa0, mode.omega0, config.period)
+    orders = order_arrays(mode.kappa0, mode.omega0, config.period)
+    eta = orders[1]
     weighted = effective_potential(mode.omega0, config) * mode.nullvector
     # per-order amplitudes of the null field on the transmitted side
     amps = np.array([
-        order_amplitude(point, config, weighted, p, +1)
+        order_amplitude(orders, config, weighted, p, +1)
         for p in range(config.period)
     ])
     rates = np.array([eta[p].imag for p in range(config.period)])

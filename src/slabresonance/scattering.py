@@ -9,7 +9,7 @@ the eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .lattice import (
     LatticeConfig,
     SpectralPoint,
     effective_potential,
+    evaluate_point,
     greens_function,
     interaction_matrix,
-    order_arrays,
     propagating_orders,
 )
 
@@ -39,9 +39,7 @@ class ScatteringSolution:
     psi: np.ndarray
     reflection: complex
     transmission: complex
-    incident_amp: complex = 1.0 + 0j
     sigma_min: float = np.inf
-    point: SpectralPoint = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,7 @@ class CoefficientTriple:
     trans: complex
 
 
-def incident_field(point: SpectralPoint, config: LatticeConfig) -> np.ndarray:
-    """Unit order-0 plane wave from the left evaluated on the defect sites."""
-    kappa_p, eta, _ = order_arrays(point.kappa, point.omega, config.period)
-    return np.exp(1j * kappa_p[0] * config.xs + 1j * eta[0] * config.zs)
-
-
-def _solve_sites(point, config, rhs, strict):
-    a = interaction_matrix(point, config)
+def _solve_sites(a, rhs, strict):
     svals = np.linalg.svd(a, compute_uv=False)
     sigma_min = float(svals[-1])
     if strict and sigma_min < svals[0] / COND_LIMIT:
@@ -81,15 +72,38 @@ def _solve_sites(point, config, rhs, strict):
     return psi, sigma_min
 
 
-def order_amplitude(point, config, weighted_field, p: int, side: int) -> complex:
+def order_amplitude(orders, config, weighted_field, p: int, side: int) -> complex:
     """Order-p far-field amplitude of sum_j G(. - site_j) V_j psi_j.
 
-    ``weighted_field`` is V_eff * psi on the defect sites; ``side`` is +1 for
-    z -> +inf (transmitted direction), -1 for z -> -inf.
+    ``orders`` is the ``order_arrays`` triple at the point, ``weighted_field``
+    is V_eff * psi on the defect sites; ``side`` is +1 for z -> +inf
+    (transmitted direction), -1 for z -> -inf.
     """
-    kappa_p, eta, tp = order_arrays(point.kappa, point.omega, config.period)
+    kappa_p, eta, tp = orders
     phase = np.exp(-1j * kappa_p[p] * config.xs - 1j * side * eta[p] * config.zs)
     return complex(tp[p] / config.period * np.sum(phase * weighted_field))
+
+
+def _require_one_order(point, config):
+    """At a real point, far fields need exactly order 0 propagating."""
+    if np.imag(point.kappa) == 0 and np.imag(point.omega) == 0:
+        spec = propagating_orders(point, config.period)
+        if not spec.propagating[0] or np.sum(spec.propagating) != 1:
+            raise NoPropagatingOrderError(
+                "need exactly order 0 propagating for far-field extraction"
+            )
+
+
+def _scatter(evaluation, config, strict) -> ScatteringSolution:
+    """Unit order-0 incidence from the left, solved on an evaluated point."""
+    orders, v, a = evaluation
+    kappa_p, eta, _ = orders
+    phi = np.exp(1j * kappa_p[0] * config.xs + 1j * eta[0] * config.zs)
+    psi, sigma_min = _solve_sites(a, phi, strict)
+    weighted = v * psi
+    refl = order_amplitude(orders, config, weighted, 0, -1)
+    trans = 1.0 + order_amplitude(orders, config, weighted, 0, +1)
+    return ScatteringSolution(psi, refl, trans, sigma_min)
 
 
 def solve_scattering(point: SpectralPoint, config: LatticeConfig,
@@ -100,30 +114,11 @@ def solve_scattering(point: SpectralPoint, config: LatticeConfig,
     otherwise it falls back to the minimum-norm least-squares solution, which
     stays finite at the guided-mode point itself.
     """
-    if np.imag(point.kappa) == 0 and np.imag(point.omega) == 0:
-        spec = propagating_orders(point, config.period)
-        if not spec.propagating[0] or np.sum(spec.propagating) != 1:
-            raise NoPropagatingOrderError(
-                "need exactly order 0 propagating for far-field extraction"
-            )
-    phi = incident_field(point, config)
-    psi, sigma_min = _solve_sites(point, config, phi, strict)
-    weighted = effective_potential(point.omega, config) * psi
-    refl = order_amplitude(point, config, weighted, 0, -1)
-    trans = 1.0 + order_amplitude(point, config, weighted, 0, +1)
-    return ScatteringSolution(psi, refl, trans, 1.0 + 0j, sigma_min, point)
+    _require_one_order(point, config)
+    return _scatter(evaluate_point(point, config), config, strict)
 
 
-def eigen_branch(point: SpectralPoint, config: LatticeConfig,
-                 anchor: np.ndarray | None = None):
-    """Eigenvalue of A on the tracked branch, with its unit eigenvector.
-
-    Without an anchor, the eigenvalue of smallest modulus is returned.  With
-    an anchor vector, the eigenvector of maximal overlap continues the branch;
-    an ambiguous overlap (< 0.5) between distinct eigenvalues raises
-    BranchCollisionError so the caller can refine the continuation path.
-    """
-    a = interaction_matrix(point, config)
+def _tracked_eigenpair(a, anchor):
     evals, evecs = np.linalg.eig(a)
     if anchor is None:
         i = int(np.argmin(np.abs(evals)))
@@ -150,15 +145,30 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     return evals[i], vec
 
 
+def eigen_branch(point: SpectralPoint, config: LatticeConfig,
+                 anchor: np.ndarray | None = None):
+    """Eigenvalue of A on the tracked branch, with its unit eigenvector.
+
+    Without an anchor, the eigenvalue of smallest modulus is returned.  With
+    an anchor vector, the eigenvector of maximal overlap continues the branch;
+    an ambiguous overlap (< 0.5) between distinct eigenvalues raises
+    BranchCollisionError so the caller can refine the continuation path.
+    """
+    return _tracked_eigenpair(interaction_matrix(point, config), anchor)
+
+
 def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
                        anchor: np.ndarray | None = None) -> CoefficientTriple:
     """(eigval, eigval*R, eigval*T) at one spectral point.
 
-    Scaling by the eigenvalue after the unit-incidence solve is equivalent to
-    scaling the source, by linearity, and avoids 0/0 at the mode.
+    The eig and the unit-incidence solve share one evaluation of A.  Scaling
+    by the eigenvalue after the solve is equivalent to scaling the source,
+    by linearity, and avoids 0/0 at the mode.
     """
-    ell, _ = eigen_branch(point, config, anchor)
-    sol = solve_scattering(point, config, strict=False)
+    evaluation = evaluate_point(point, config)
+    ell, _ = _tracked_eigenpair(evaluation[2], anchor)
+    _require_one_order(point, config)
+    sol = _scatter(evaluation, config, strict=False)
     return CoefficientTriple(ell, ell * sol.reflection, ell * sol.transmission)
 
 

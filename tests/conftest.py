@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ from slabresonance import (
 )
 from slabresonance.lattice import propagating_orders
 from slabresonance.errors import WoodAnomalyError
+
+# Even with database=None, Hypothesis caches the literals it reads from the
+# package's source in its storage directory, which it looks up once, on first
+# use; a directory that cannot be created turns that cache off.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.devnull)
 
 CASE2 = LatticeConfig(
     period=3,

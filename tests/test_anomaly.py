@@ -16,7 +16,6 @@ from slabresonance.anomaly import (
     anomaly_window,
     exact_transmission,
     model_transmission,
-    predict,
 )
 from slabresonance.expansion import ExpansionCoefficients
 
@@ -191,13 +190,6 @@ class TestEnhancement:
         s2, _ = enhancement_scaling(case2_config, case2_mode,
                                     [0.08, 0.04, 0.02])
         assert abs(s1 - s2) < 0.05
-
-
-def test_predict_bundle(coeffs_case2):
-    pred = predict(coeffs_case2, coeffs_case2.kappa0 + 0.01)
-    assert pred.fano is not None
-    assert np.all((pred.model >= 0) & (pred.model <= 1 + 1e-9))
-    assert pred.omega_peak != pred.omega_dip
 
 
 def test_model_dispatch(coeffs_case1, coeffs_case2):

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestTransmission:
         c1 = next(out1.glob("*.csv")).read_bytes()
         c2 = next(out2.glob("*.csv")).read_bytes()
         assert c1 == c2
+
+    def test_manifest_records_numerical_stack(self, tmp_path):
+        out = tmp_path / "t"
+        assert run(["transmission", "--config", CASE2, "--kappa", "0.05",
+                    "--omega-range", "1.42:1.50", "--grid", "5",
+                    "--out", str(out)]) == 0
+        first = next(out.glob("*.csv")).read_text().splitlines()[0]
+        manifest = json.loads(first[len("# manifest: "):])
+        assert manifest["stack"] == {"machine": platform.machine(),
+                                     "numpy": np.__version__,
+                                     "python": platform.python_version()}
+        assert "seed" not in manifest
 
     def test_wood_anomaly_rows_skipped(self, tmp_path):
         out = tmp_path / "t"
@@ -154,6 +167,29 @@ class TestAnalyze:
             assert rel["residual"] < 3.0 * rel["combined_error"]
         fano = json.loads((analyzed / "fano.json").read_text())
         assert len(fano["condition_residuals"]) == 3
+
+    def test_mode_file_polished_like_scan(self, analyzed, tmp_path):
+        """--mode starts the polisher at find-mode's point: same coefficients."""
+        assert run(["find-mode", "--config", CASE2,
+                    "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                    "--grid", "201", "--out", str(tmp_path / "m")]) == 0
+        mode = tmp_path / "m" / "mode.json"
+        out = tmp_path / "a"
+        assert run(["analyze", "--config", CASE2, "--mode", str(mode),
+                    "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                    "--kappa-tilde", "0.01", "--kappa-tilde=-0.01",
+                    "--grid", "201", "--out", str(out)]) == 0
+        got = json.loads((out / "coefficients.json").read_text())
+        want = json.loads((analyzed / "coefficients.json").read_text())
+        assert got.pop("manifest")["params"]["mode"] == str(mode)
+        want.pop("manifest")
+        assert got == want
+
+    def test_mode_file_not_real_exit_2(self, tmp_path):
+        mode = tmp_path / "mode.json"
+        mode.write_text(json.dumps({"kappa0": 0.2, "omega0": 1.38}))
+        assert run(["analyze", "--config", CASE1_SEED, "--mode", str(mode),
+                    "--out", str(tmp_path / "a")]) == 2
 
     def test_comparison_curves(self, analyzed):
         for csv in analyzed.glob("compare_ktilde_*.csv"):

@@ -142,10 +142,6 @@ class TestCoefficients:
         extrap = vals[2] + (vals[2] - vals[1]) / 3.0
         assert abs(extrap - target) < 5e-3
 
-    def test_theta_phases_finite(self, coeffs_case2):
-        for th in (coeffs_case2.theta1, coeffs_case2.theta2, coeffs_case2.theta3):
-            assert np.isfinite(th)
-
 
 class TestClassify:
     def test_symmetric_is_case2(self, coeffs_case2):
