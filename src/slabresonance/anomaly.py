@@ -17,7 +17,7 @@ from .errors import ConvergenceError
 from .expansion import ExpansionCoefficients
 from .lattice import LatticeConfig, SpectralPoint
 from .modes import GuidedMode, omega_root
-from .scattering import field_enhancement, solve_scattering
+from .scattering import field_enhancement, peak_field, solve_grid
 
 FANO_CONDITION_TOL = 1e-3
 
@@ -125,27 +125,27 @@ def fano_shape(omega, omega_res: float, gamma: float, q: float,
 
 
 def exact_transmission(config: LatticeConfig, kappa: float, omegas):
-    """Exact |T|, |R| and transmission phase on a frequency grid."""
-    T = np.empty(len(omegas))
-    R = np.empty(len(omegas))
-    ph = np.empty(len(omegas))
-    for i, om in enumerate(omegas):
-        sol = solve_scattering(SpectralPoint(kappa, float(om)), config,
-                               strict=False)
-        T[i] = abs(sol.transmission)
-        R[i] = abs(sol.reflection)
-        ph[i] = np.angle(sol.transmission)
-    return T, R, ph
+    """Exact |T|, |R| and transmission phase on a frequency grid.
 
-
-def phase_curve(kappa: float, omega_grid, config: LatticeConfig) -> np.ndarray:
-    """Unwrapped transmission phase arg(trans/eigval) = arg T over the grid.
-
-    A near-pi step is genuine when the transmission passes through zero
-    between the two samples (the phase flips at a real transmission zero);
-    anywhere else it means the grid is too coarse to unwrap and raises.
+    One batched solve; a grid point without a unit-incidence solution raises
+    its error (WoodAnomalyError, NoPropagatingOrderError, PendantPoleError).
     """
-    t_abs, _, raw = exact_transmission(config, kappa, omega_grid)
+    sol = solve_grid(kappa, omegas, config)
+    sol.raise_skipped()
+    t, r = sol.transmission, sol.reflection
+    # hypot is what abs() of a single complex computes
+    return np.hypot(t.real, t.imag), np.hypot(r.real, r.imag), np.angle(t)
+
+
+def phase_curve(t_abs, raw) -> np.ndarray:
+    """Unwrapped transmission phase arg(trans/eigval) = arg T over a grid.
+
+    ``t_abs`` and ``raw`` are the |T| and wrapped phase that
+    ``exact_transmission`` returns for the grid.  A near-pi step is genuine
+    when the transmission passes through zero between the two samples (the
+    phase flips at a real transmission zero); anywhere else it means the grid
+    is too coarse to unwrap and raises.
+    """
     wrapped = np.angle(np.exp(1j * np.diff(raw)))
     big = np.abs(wrapped) > 0.9 * np.pi
     if np.any(big):
@@ -177,10 +177,9 @@ def enhancement_scaling(config: LatticeConfig, mode: GuidedMode,
         center = samp.omega.real
         width = max(abs(samp.omega.imag), 1e-12)
         grid = center + np.linspace(-8.0 * width, 8.0 * width, n_grid)
-        vals = [
-            field_enhancement(SpectralPoint(mode.kappa0 + kt, om), config)
-            for om in grid
-        ]
+        sol = solve_grid(mode.kappa0 + kt, grid, config)
+        sol.raise_skipped()
+        vals = peak_field(SpectralPoint(mode.kappa0 + kt, grid), config, sol.psi)
         i = int(np.argmax(vals))
         # golden-section sharpen around the grid peak
         lo = grid[max(i - 1, 0)]

@@ -27,14 +27,9 @@ from .anomaly import (
     peak_dip_locations,
     phase_curve,
 )
-from .errors import (
-    ConfigError,
-    NoPropagatingOrderError,
-    SlabError,
-    WoodAnomalyError,
-)
+from .errors import ConfigError, SlabError
 from .expansion import extract_coefficients, verify_relations
-from .lattice import LatticeConfig, SpectralPoint
+from .lattice import OK, LatticeConfig, grid_status
 from .modes import (
     GuidedMode,
     branch_seeds,
@@ -43,7 +38,7 @@ from .modes import (
     trace_branch,
     tune_structure,
 )
-from .scattering import solve_scattering
+from .scattering import solve_grid
 
 EXIT_OK = 0
 EXIT_NO_MODE = 2
@@ -131,28 +126,13 @@ def cmd_transmission(args) -> int:
     omegas = np.linspace(om_lo, om_hi, args.grid)
     manifest = _manifest(args, "transmission")
     for kappa in args.kappa:
-        rows = []
-        phases = []
-        for om in omegas:
-            try:
-                sol = solve_scattering(SpectralPoint(kappa, float(om)), config,
-                                       strict=False)
-            except WoodAnomalyError:
-                rows.append(f"# wood-anomaly skip omega={_fmt(om)}")
-                continue
-            except NoPropagatingOrderError:
-                rows.append(f"# no-propagating-order skip omega={_fmt(om)}")
-                continue
-            phases.append(np.angle(sol.transmission))
-            rows.append((om, abs(sol.transmission), abs(sol.reflection), 0.0))
-        # unwrap phase over the retained rows
-        if phases:
-            unwrapped = np.unwrap(np.array(phases))
-            j = 0
-            for i, row in enumerate(rows):
-                if not isinstance(row, str):
-                    rows[i] = row[:3] + (unwrapped[j],)
-                    j += 1
+        status = grid_status(kappa, omegas, config)
+        solved = status == OK
+        t_abs, r_abs, raw = exact_transmission(config, kappa, omegas[solved])
+        # unwrap the phase over the solved rows
+        curve = iter(zip(t_abs, r_abs, np.unwrap(raw)))
+        rows = [(om, *next(curve)) if st == OK else f"# {st} skip omega={_fmt(om)}"
+                for om, st in zip(omegas, status)]
         out = Path(args.out) / f"transmission_kappa_{kappa:+.6f}.csv"
         _write_csv(out, manifest, "omega,T,R,phase_rad", rows)
         print(out)
@@ -236,9 +216,9 @@ def cmd_analyze(args) -> int:
         kappa = mode.kappa0 + kt
         lo, hi = anomaly_window(coeffs, kappa)
         omegas = np.linspace(lo, hi, args.grid)
-        t_exact, _, _ = exact_transmission(config, kappa, omegas)
+        t_exact, _, raw = exact_transmission(config, kappa, omegas)
         t_model = model_transmission(coeffs, kappa, omegas)
-        ph = phase_curve(kappa, omegas, config)
+        ph = phase_curve(t_exact, raw)
         rows = list(zip(omegas, t_exact, t_model, ph))
         _write_csv(outdir / f"compare_ktilde_{kt:+.6f}.csv", manifest,
                    "omega,T_exact,T_model,phase_rad", rows)
@@ -285,14 +265,14 @@ def cmd_validate(args) -> int:
         # the CSV rounds omega to 13 digits; re-solve on the exact grid point
         grid = (np.linspace(*_parse_range(params["omega_range"]), params["grid"])
                 if "omega_range" in params and "grid" in params else None)
-        for i in picks:
-            om, t_csv = rows[i][0], rows[i][1]
-            if grid is not None:
-                om = float(grid[np.argmin(np.abs(grid - om))])
-            sol = solve_scattering(SpectralPoint(args.kappa[0], om), config,
-                                   strict=False)
-            if abs(abs(sol.transmission) - t_csv) > 1e-9:
-                print(f"validate: row omega={om} does not re-solve",
+        omegas = [rows[i][0] for i in picks]
+        if grid is not None:
+            omegas = [grid[np.argmin(np.abs(grid - om))] for om in omegas]
+        sol = solve_grid(args.kappa[0], omegas, config)
+        for j, i in enumerate(picks):
+            sol.raise_skipped([j])
+            if abs(abs(sol.transmission[j]) - rows[i][1]) > 1e-9:
+                print(f"validate: row omega={float(sol.omega[j])} does not re-solve",
                       file=sys.stderr)
                 return EXIT_NUMERICAL
         print(f"validate: {len(picks)} rows re-solved OK")

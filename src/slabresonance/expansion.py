@@ -79,31 +79,19 @@ class ExpansionCoefficients:
         }
 
 
-def eigval_sampler(config: LatticeConfig, mode: GuidedMode):
-    """Sampler for the tracked eigenvalue, anchored at the mode null vector."""
+def triple_sampler(config: LatticeConfig, mode: GuidedMode, part: str):
+    """Sampler f(kappa, omega) of one member of the analytic triple.
+
+    ``part`` names the ``CoefficientTriple`` field: ``"eigval"``, ``"refl"``
+    or ``"trans"``.  The eigenvalue branch is anchored at the mode null vector.
+    """
     anchor = mode.nullvector
 
     def f(kappa, omega):
-        ell, _ = eigen_branch(SpectralPoint(kappa, omega), config, anchor)
-        return ell
-
-    return f
-
-
-def refl_sampler(config: LatticeConfig, mode: GuidedMode):
-    anchor = mode.nullvector
-
-    def f(kappa, omega):
-        return coefficient_triple(SpectralPoint(kappa, omega), config, anchor).refl
-
-    return f
-
-
-def trans_sampler(config: LatticeConfig, mode: GuidedMode):
-    anchor = mode.nullvector
-
-    def f(kappa, omega):
-        return coefficient_triple(SpectralPoint(kappa, omega), config, anchor).trans
+        point = SpectralPoint(kappa, omega)
+        if part == "eigval":  # the eig alone, without the solve
+            return eigen_branch(point, config, anchor)[0]
+        return getattr(coefficient_triple(point, config, anchor), part)
 
     return f
 
@@ -278,15 +266,17 @@ def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
     """Full coefficient extraction: three zero curves plus background."""
     if radius is None:
         radius = sample_radius(config, mode)
-    kts, oms = _sample_curve(eigval_sampler(config, mode), mode, radius)
+    kts, oms = _sample_curve(triple_sampler(config, mode, "eigval"), mode, radius)
     cl, el, resid3 = _fit_with_errors(kts, oms, mode.omega0, 3, radius)
     cl2, el2, resid2 = _fit_with_errors(kts, oms, mode.omega0, 2, radius)
     # keep the cubic only when it improves the quadratic residual 10-fold
     if resid3 > 0.1 * resid2:
         cl = np.append(cl2, 0j)
         el = np.append(el2, np.inf)
-    ca, ea, _ = fit_zero_curve(refl_sampler(config, mode), mode, 2, radius)
-    cb, eb, _ = fit_zero_curve(trans_sampler(config, mode), mode, 2, radius)
+    ca, ea, _ = fit_zero_curve(triple_sampler(config, mode, "refl"), mode, 2,
+                               radius)
+    cb, eb, _ = fit_zero_curve(triple_sampler(config, mode, "trans"), mode, 2,
+                               radius)
 
     errors = {
         "l1": float(el[0]), "l2": float(el[1]), "l3": float(el[2]),

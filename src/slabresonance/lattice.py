@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -142,24 +143,44 @@ class LatticeConfig:
             out["tunable"] = {"path": self.tunable}
         return out
 
-    # -- convenience views ----------------------------------------------------
+    # -- convenience views, built once per config and read-only --------------
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.array([d.x for d in self.defects])
+        return _read_only([d.x for d in self.defects])
 
-    @property
+    @cached_property
     def zs(self) -> np.ndarray:
-        return np.array([d.z for d in self.defects])
+        return _read_only([d.z for d in self.defects])
 
-    @property
+    @cached_property
     def ds(self) -> np.ndarray:
-        return np.array([d.d for d in self.defects])
+        return _read_only([d.d for d in self.defects])
+
+    @cached_property
+    def _identity(self) -> np.ndarray:
+        return _read_only(np.eye(len(self.defects), dtype=complex))
+
+    @cached_property
+    def _site_offsets(self):
+        """x_j - x_k and |z_j - z_k| over all pairs of defect sites."""
+        return (_read_only(self.xs[:, None] - self.xs[None, :]),
+                _read_only(np.abs(self.zs[:, None] - self.zs[None, :])))
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A (kappa, omega) pair; either entry may be complex."""
+    """A (kappa, omega) pair; either entry may be complex.
+
+    ``omega`` may also be an array of real frequencies at one real kappa: the
+    arrays ``evaluate_point`` derives then carry its leading axis.
+    """
 
     kappa: complex
     omega: complex
@@ -173,41 +194,76 @@ class OrderSpectrum:
     eta: np.ndarray
     propagating: np.ndarray
 
+    @property
+    def only_order_zero(self) -> bool:
+        """Exactly order 0 propagates, as far-field extraction needs."""
+        return bool(_only_order_zero(self.propagating))
 
-def order_wavenumber(kappa_p: complex, omega: complex) -> complex:
-    """z-wavenumber eta for one diffraction order.
+
+def order_wavenumber(kappa_p, omega):
+    """z-wavenumber eta for diffraction orders; array arguments broadcast.
 
     Solves ``4 sin^2(kappa_p/2) + 4 sin^2(eta/2) = omega^2`` on the branch
     that is outgoing for propagating orders and decaying (Im eta > 0) for
     evanescent ones, with the propagating sign fixed by the omega + i0 limit.
     The three regions of w = omega^2/4 - sin^2(kappa_p/2) get separate
-    closed forms so that each is analytic across the real axis.
+    closed forms so that each is analytic across the real axis.  The squares
+    go through ``np.power``, which rounds like scalar complex arithmetic, so
+    an entry of an array comes out with the same bits as a single value.
     """
-    w = complex((complex(omega) / 2.0) ** 2 - np.sin(complex(kappa_p) / 2.0) ** 2)
-    if w.real <= 0.0:
-        eta = complex(2j * np.arcsinh(np.sqrt(-w)))
-    elif w.real < 1.0:
-        eta = complex(2.0 * np.arcsin(np.sqrt(w)))
-    else:
-        eta = complex(np.pi + 2j * np.arccosh(np.sqrt(w)))
-    resid = abs(4 * np.sin(complex(kappa_p) / 2) ** 2 + 4 * np.sin(eta / 2) ** 2
-                - complex(omega) ** 2)
+    w = (np.power(np.divide(omega, 2.0, dtype=complex), 2)
+         - np.power(np.sin(np.divide(kappa_p, 2.0, dtype=complex)), 2))
+    root = np.sqrt(w)
+    eta = np.where(w.real <= 0.0, 2j * np.arcsinh(np.sqrt(-w)), 2.0 * np.arcsin(root))
+    above = w.real >= 1.0
+    if any(above.flat):
+        eta[above] = np.pi + 2j * np.arccosh(root[above])
+    half = np.sin(eta / 2.0)
+    resid = 4.0 * np.abs(half * half - w).max()
     if resid > DISPERSION_TOL:
         raise ArithmeticError(
             f"dispersion residual {resid:.2e} exceeds {DISPERSION_TOL:.0e}"
         )
-    return eta
+    return eta[()]
 
 
-def order_arrays(kappa: complex, omega: complex, period: int):
-    """kappa_p, eta_p and 1/(2i sin eta_p) for all orders p in 0..period-1."""
+def order_arrays(kappa: complex, omega, period: int):
+    """kappa_p, eta_p and 1/(2i sin eta_p) for all orders p in 0..period-1.
+
+    An array of frequencies gives ``eta`` and the last entry a leading axis;
+    ``kappa_p`` depends on kappa alone and keeps shape (period,).
+    """
     p = np.arange(period)
     kappa_p = np.asarray(kappa, dtype=complex) + 2.0 * np.pi * p / period
-    eta = np.array([order_wavenumber(k, omega) for k in kappa_p])
+    eta = order_wavenumber(kappa_p, np.asarray(omega)[..., None])
     sin_eta = np.sin(eta)
-    if np.any(np.abs(sin_eta) < 1e-14):
+    if any(abs(sin_eta.ravel()) < 1e-14):
         raise WoodAnomalyError("sin(eta_p) vanishes: order at a branch point")
     return kappa_p, eta, 1.0 / (2j * sin_eta)
+
+
+def _order_variable(kappa, omega, period):
+    """Real kappa_p and w_p = omega^2/4 - sin^2(kappa_p/2) at real points.
+
+    An array of frequencies gives ``w`` a leading axis.
+    """
+    kappa_p = np.real(kappa) + 2.0 * np.pi * np.arange(period) / period
+    w = (np.real(np.asarray(omega))[..., None] / 2.0) ** 2 - np.sin(kappa_p / 2.0) ** 2
+    return kappa_p, w
+
+
+def _near_branch_point(w):
+    """True where some order's w is within WOOD_GUARD of a branch point."""
+    return ((np.abs(w) < WOOD_GUARD) | (np.abs(w - 1.0) < WOOD_GUARD)).any(axis=-1)
+
+
+def _only_order_zero(propagating):
+    return propagating[..., 0] & (propagating.sum(axis=-1) == 1)
+
+
+def _hits_pole(denom, pendant: Pendant):
+    """True where omega^2 - mu = ``denom`` puts omega on the pendant's pole."""
+    return abs(denom) < PENDANT_POLE_TOL * (1.0 + abs(pendant.mu))
 
 
 def propagating_orders(point: SpectralPoint, period: int) -> OrderSpectrum:
@@ -219,55 +275,82 @@ def propagating_orders(point: SpectralPoint, period: int) -> OrderSpectrum:
     kappa, omega = point.kappa, point.omega
     if abs(np.imag(kappa)) > 0 or abs(np.imag(omega)) > 0:
         raise ValueError("propagating_orders expects real kappa and omega")
-    p = np.arange(period)
-    kappa_p = np.real(kappa) + 2.0 * np.pi * p / period
-    w = (np.real(omega) / 2.0) ** 2 - np.sin(kappa_p / 2.0) ** 2
-    if np.any(np.abs(w) < WOOD_GUARD) or np.any(np.abs(w - 1.0) < WOOD_GUARD):
+    kappa_p, w = _order_variable(kappa, omega, period)
+    if _near_branch_point(w):
         raise WoodAnomalyError(
             f"order within {WOOD_GUARD:.0e} of its branch point at "
             f"kappa={kappa}, omega={omega}"
         )
-    eta = np.array([order_wavenumber(k, omega) for k in kappa_p])
+    eta = order_wavenumber(kappa_p, omega)
     return OrderSpectrum(kappa_p.astype(complex), eta, (w > 0) & (w < 1))
+
+
+OK = "ok"
+WOOD_ANOMALY = "wood-anomaly"
+NO_PROPAGATING_ORDER = "no-propagating-order"
+PENDANT_POLE = "pendant-pole"
+
+
+def grid_status(kappa: float, omegas, config: LatticeConfig) -> np.ndarray:
+    """Status of each real frequency at one real kappa, before any solve.
+
+    ``OK``, or why the point has no unit-incidence solution: an order within
+    1e-9 of its branch point (``WOOD_ANOMALY``), not exactly order 0
+    propagating (``NO_PROPAGATING_ORDER``) or omega^2 on a pendant resonance
+    (``PENDANT_POLE``).  The first reason in that list wins, as in the order
+    ``solve_scattering`` checks them.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    _, w = _order_variable(kappa, omegas, config.period)
+    status = np.full(omegas.shape, OK, dtype=object)
+    om2 = np.asarray(omegas, dtype=complex) ** 2
+    for pn in config.pendants:
+        status[_hits_pole(om2 - pn.mu, pn)] = PENDANT_POLE
+    status[~_only_order_zero((w > 0) & (w < 1))] = NO_PROPAGATING_ORDER
+    status[_near_branch_point(w)] = WOOD_ANOMALY
+    return status
 
 
 def wood_distance(point: SpectralPoint, period: int) -> float:
     """Smallest distance of any order's w to a branch point {0, 1}."""
-    p = np.arange(period)
-    kappa_p = np.real(point.kappa) + 2.0 * np.pi * p / period
-    w = (np.real(point.omega) / 2.0) ** 2 - np.sin(kappa_p / 2.0) ** 2
+    _, w = _order_variable(point.kappa, point.omega, period)
     return float(min(np.min(np.abs(w)), np.min(np.abs(w - 1.0))))
 
 
-def greens_function(point: SpectralPoint, period: int, m: int, n: int) -> complex:
+def greens_function(orders, period: int, m: int, n: int) -> complex:
     """Quasi-periodic lattice Green's function G(m, n).
 
     Kernel of ``(omega^2 - L0)^(-1)`` with outgoing/decaying orders, for the
     quasi-periodic delta source at the origin:
 
         G(m, n) = (1/N) sum_p exp(i kappa_p m) exp(i eta_p |n|) / (2i sin eta_p)
+
+    ``orders`` is the ``order_arrays`` triple at the spectral point.
     """
-    kappa_p, eta, tp = order_arrays(point.kappa, point.omega, period)
+    kappa_p, eta, tp = orders
     return complex(
         np.sum(np.exp(1j * kappa_p * m) * np.exp(1j * eta * abs(n)) * tp) / period
     )
 
 
-def effective_potential(omega: complex, config: LatticeConfig) -> np.ndarray:
+def effective_potential(omega, config: LatticeConfig) -> np.ndarray:
     """Diagonal V_eff(omega) on defect sites; pendants eliminated exactly.
 
     Each pendant contributes ``g^2 / (omega^2 - mu)`` to its host, which keeps
-    V_eff real on the real axis (lossless) and rational in omega^2.
+    V_eff real on the real axis (lossless) and rational in omega^2.  An array
+    of frequencies gives the result a leading axis.
     """
-    v = config.ds.astype(complex)
     om2 = np.asarray(omega, dtype=complex) ** 2
+    v = np.empty(om2.shape + config.ds.shape, dtype=complex)
+    v[...] = config.ds
     for pn in config.pendants:
         denom = om2 - pn.mu
-        if abs(denom) < PENDANT_POLE_TOL * (1.0 + abs(pn.mu)):
+        hit = _hits_pole(denom, pn)
+        if np.count_nonzero(hit):
             raise PendantPoleError(
-                f"omega^2 = {om2} hits pendant resonance mu = {pn.mu}"
+                f"omega^2 = {om2[hit].flat[0]} hits pendant resonance mu = {pn.mu}"
             )
-        v[pn.host] += pn.g**2 / denom
+        v.T[pn.host] += pn.g**2 / denom
     return v
 
 
@@ -275,28 +358,29 @@ def greens_matrix(orders, config: LatticeConfig) -> np.ndarray:
     """Matrix of Green's values between all defect-site pairs.
 
     ``orders`` is the ``(kappa_p, eta, 1/(2i sin eta))`` triple of
-    ``order_arrays`` at the spectral point.
+    ``order_arrays`` at the spectral point; a leading frequency axis of
+    ``eta`` carries through.
     """
     kappa_p, eta, tp = orders
-    dx = config.xs[:, None] - config.xs[None, :]
-    dz = np.abs(config.zs[:, None] - config.zs[None, :])
-    phases = np.exp(
-        1j * kappa_p[:, None, None] * dx[None, :, :]
-        + 1j * eta[:, None, None] * dz[None, :, :]
-    )
-    return np.einsum("p,pjk->jk", tp, phases) / config.period
+    dx, dz = config._site_offsets
+    # in place: a batch's (rows, orders, k, k) temporaries exist once
+    phases = 1j * eta[..., :, None, None] * dz
+    phases += 1j * kappa_p[:, None, None] * dx
+    np.exp(phases, out=phases)
+    return np.einsum("...p,...pjk->...jk", tp, phases) / config.period
 
 
 def evaluate_point(point: SpectralPoint, config: LatticeConfig):
     """Everything a spectral point yields, each piece computed once.
 
     Returns ``(orders, v_eff, a)``: the order arrays of ``order_arrays``,
-    the diagonal V_eff on the defect sites and A = I - G V_eff.
+    the diagonal V_eff on the defect sites and A = I - G V_eff.  With an
+    array of frequencies every piece but ``kappa_p`` has a leading axis.
     """
     orders = order_arrays(point.kappa, point.omega, config.period)
     g = greens_matrix(orders, config)
     v = effective_potential(point.omega, config)
-    return orders, v, np.eye(len(config.defects), dtype=complex) - g * v[None, :]
+    return orders, v, config._identity - g * v[..., None, :]
 
 
 def interaction_matrix(point: SpectralPoint, config: LatticeConfig) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     SlabError,
 )
 from .lattice import LatticeConfig, SpectralPoint, effective_potential, order_arrays
-from .scattering import eigen_branch, order_amplitude
+from .scattering import eigen_branch, order_amplitude, scattered_field_at
 
 IM_OMEGA_TOL = 1e-9
 ROOT_TOL = 1e-10
@@ -387,9 +387,6 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
 
 def decay_profile(mode: GuidedMode, config: LatticeConfig, n_lo=5, n_hi=20):
     """Null-field amplitude per row n and the slowest active decay rate."""
-    from .scattering import scattered_field_at
-
-    point = SpectralPoint(mode.kappa0, mode.omega0)
     orders = order_arrays(mode.kappa0, mode.omega0, config.period)
     eta = orders[1]
     weighted = effective_potential(mode.omega0, config) * mode.nullvector
@@ -409,7 +406,7 @@ def decay_profile(mode: GuidedMode, config: LatticeConfig, n_lo=5, n_hi=20):
     vals = np.empty(len(ns))
     for i, n in enumerate(ns):
         vals[i] = max(
-            abs(scattered_field_at(point, config, mode.nullvector, m, int(n)))
+            abs(scattered_field_at(orders, config, weighted, m, int(n)))
             for m in range(config.period)
         )
     return ns, vals, slow_rate

@@ -13,18 +13,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCollisionError, NearSingularError, NoPropagatingOrderError
+from .errors import (
+    BranchCollisionError,
+    NearSingularError,
+    NoPropagatingOrderError,
+    PendantPoleError,
+    WoodAnomalyError,
+)
 from .lattice import (
+    NO_PROPAGATING_ORDER,
+    OK,
+    PENDANT_POLE,
+    WOOD_ANOMALY,
     LatticeConfig,
     SpectralPoint,
-    effective_potential,
     evaluate_point,
     greens_function,
+    grid_status,
     interaction_matrix,
     propagating_orders,
 )
 
 COND_LIMIT = 1e12
+# rows per batched evaluation; bounds the (rows, orders, k, k) temporaries
+BLOCK = 64
+
+SKIP_ERRORS = {
+    WOOD_ANOMALY: WoodAnomalyError,
+    NO_PROPAGATING_ORDER: NoPropagatingOrderError,
+    PENDANT_POLE: PendantPoleError,
+}
 
 
 @dataclass(frozen=True)
@@ -43,6 +61,30 @@ class ScatteringSolution:
 
 
 @dataclass(frozen=True)
+class GridSolution:
+    """Unit-incidence solves on a real frequency grid at one real kappa.
+
+    ``status[i]`` is ``OK`` or why row i was skipped (see
+    ``lattice.grid_status``); ``psi`` (rows x sites), ``reflection`` and
+    ``transmission`` are as in ``ScatteringSolution`` and NaN on skipped rows.
+    """
+
+    omega: np.ndarray
+    status: np.ndarray
+    psi: np.ndarray
+    reflection: np.ndarray
+    transmission: np.ndarray
+
+    def raise_skipped(self, rows=None):
+        """Raise the error of the first skipped row of ``rows`` (default all)."""
+        for i in range(len(self.status)) if rows is None else rows:
+            if self.status[i] != OK:
+                raise SKIP_ERRORS[self.status[i]](
+                    f"{self.status[i]} at omega={self.omega[i]}"
+                )
+
+
+@dataclass(frozen=True)
 class CoefficientTriple:
     """Tracked eigenvalue and scaled amplitudes (eigval, refl, trans).
 
@@ -57,53 +99,72 @@ class CoefficientTriple:
 
 
 def _solve_sites(a, rhs, strict):
+    """Site field solving A psi = rhs, and sigma_min of A, per leading row.
+
+    A row with sigma_min < sigma_max / COND_LIMIT is refused with ``strict``
+    and otherwise gets the minimum-norm least-squares solution.
+    """
     svals = np.linalg.svd(a, compute_uv=False)
-    sigma_min = float(svals[-1])
-    if strict and sigma_min < svals[0] / COND_LIMIT:
+    sigma_min = svals[..., -1]
+    singular = sigma_min < svals[..., 0] / COND_LIMIT
+    if not singular.any():
+        return np.linalg.solve(a, rhs[..., None])[..., 0], sigma_min
+    if strict:
+        worst = float(np.min(sigma_min[singular]))
         raise NearSingularError(
-            f"interaction matrix nearly singular (sigma_min={sigma_min:.3e})",
-            sigma_min=sigma_min,
+            f"interaction matrix nearly singular (sigma_min={worst:.3e})",
+            sigma_min=worst,
         )
-    if sigma_min < svals[0] / COND_LIMIT:
-        # minimum-norm solution: the physical field up to a null component
-        psi = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    else:
-        psi = np.linalg.solve(a, rhs)
-    return psi, sigma_min
+    k = rhs.shape[-1]
+    a, psi = a.reshape(-1, k, k), rhs.reshape(-1, k).copy()
+    for i, near in enumerate(singular.reshape(-1)):
+        if near:
+            # minimum-norm solution: the physical field up to a null component
+            psi[i] = np.linalg.lstsq(a[i], psi[i], rcond=None)[0]
+        else:
+            psi[i] = np.linalg.solve(a[i], psi[i, :, None])[:, 0]
+    return psi.reshape(rhs.shape), sigma_min
 
 
-def order_amplitude(orders, config, weighted_field, p: int, side: int) -> complex:
+def order_amplitude(orders, config, weighted_field, p: int, side: int):
     """Order-p far-field amplitude of sum_j G(. - site_j) V_j psi_j.
 
     ``orders`` is the ``order_arrays`` triple at the point, ``weighted_field``
     is V_eff * psi on the defect sites; ``side`` is +1 for z -> +inf
-    (transmitted direction), -1 for z -> -inf.
+    (transmitted direction), -1 for z -> -inf.  A complex for a single point,
+    an array over a leading frequency axis otherwise.
     """
     kappa_p, eta, tp = orders
-    phase = np.exp(-1j * kappa_p[p] * config.xs - 1j * side * eta[p] * config.zs)
-    return complex(tp[p] / config.period * np.sum(phase * weighted_field))
+    phase = np.exp(-1j * kappa_p[p] * config.xs
+                   - np.multiply.outer(1j * side * eta.T[p], config.zs))
+    amp = tp.T[p] / config.period * np.sum(phase * weighted_field, axis=-1)
+    return complex(amp) if np.ndim(amp) == 0 else amp
 
 
 def _require_one_order(point, config):
     """At a real point, far fields need exactly order 0 propagating."""
     if np.imag(point.kappa) == 0 and np.imag(point.omega) == 0:
-        spec = propagating_orders(point, config.period)
-        if not spec.propagating[0] or np.sum(spec.propagating) != 1:
+        if not propagating_orders(point, config.period).only_order_zero:
             raise NoPropagatingOrderError(
                 "need exactly order 0 propagating for far-field extraction"
             )
 
 
-def _scatter(evaluation, config, strict) -> ScatteringSolution:
-    """Unit order-0 incidence from the left, solved on an evaluated point."""
+def _scatter(evaluation, config, strict):
+    """Unit order-0 incidence from the left, solved on an evaluated point.
+
+    Returns ``(psi, reflection, transmission, sigma_min)``, each with the
+    evaluation's leading frequency axis if it has one.
+    """
     orders, v, a = evaluation
     kappa_p, eta, _ = orders
-    phi = np.exp(1j * kappa_p[0] * config.xs + 1j * eta[0] * config.zs)
+    phi = np.exp(1j * kappa_p[0] * config.xs
+                 + np.multiply.outer(1j * eta.T[0], config.zs))
     psi, sigma_min = _solve_sites(a, phi, strict)
     weighted = v * psi
     refl = order_amplitude(orders, config, weighted, 0, -1)
     trans = 1.0 + order_amplitude(orders, config, weighted, 0, +1)
-    return ScatteringSolution(psi, refl, trans, sigma_min)
+    return psi, refl, trans, sigma_min
 
 
 def solve_scattering(point: SpectralPoint, config: LatticeConfig,
@@ -115,7 +176,31 @@ def solve_scattering(point: SpectralPoint, config: LatticeConfig,
     stays finite at the guided-mode point itself.
     """
     _require_one_order(point, config)
-    return _scatter(evaluate_point(point, config), config, strict)
+    psi, refl, trans, sigma_min = _scatter(evaluate_point(point, config), config,
+                                           strict)
+    return ScatteringSolution(psi, refl, trans, float(sigma_min))
+
+
+def solve_grid(kappa: float, omegas, config: LatticeConfig) -> GridSolution:
+    """``solve_scattering(strict=False)`` on a real frequency grid, batched.
+
+    Each solved row equals the single-point solve bit for bit.  A row where
+    that would raise WoodAnomalyError, NoPropagatingOrderError or
+    PendantPoleError is skipped and its reason kept in ``status``.  Rows are
+    evaluated BLOCK at a time.
+    """
+    kappa, omegas = float(kappa), np.asarray(omegas, dtype=float)
+    status = grid_status(kappa, omegas, config)
+    psi = np.full((len(omegas), len(config.defects)), np.nan, dtype=complex)
+    refl = np.full(len(omegas), np.nan, dtype=complex)
+    trans = refl.copy()
+    rows = np.flatnonzero(status == OK)
+    for start in range(0, len(rows), BLOCK):
+        block = rows[start:start + BLOCK]
+        evaluation = evaluate_point(SpectralPoint(kappa, omegas[block]), config)
+        psi[block], refl[block], trans[block], _ = _scatter(evaluation, config,
+                                                            strict=False)
+    return GridSolution(omegas, status, psi, refl, trans)
 
 
 def _tracked_eigenpair(a, anchor):
@@ -168,14 +253,26 @@ def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
     evaluation = evaluate_point(point, config)
     ell, _ = _tracked_eigenpair(evaluation[2], anchor)
     _require_one_order(point, config)
-    sol = _scatter(evaluation, config, strict=False)
-    return CoefficientTriple(ell, ell * sol.reflection, ell * sol.transmission)
+    _, refl, trans, _ = _scatter(evaluation, config, strict=False)
+    return CoefficientTriple(ell, ell * refl, ell * trans)
 
 
 def pendant_amplitudes(point, config, psi) -> np.ndarray:
-    """Field on pendant sites recovered from the host-site field."""
+    """Field on pendant sites recovered from the host-site field.
+
+    One row per pendant; a leading frequency axis of ``psi`` follows it.
+    """
     om2 = np.asarray(point.omega, dtype=complex) ** 2
-    return np.array([p.g * psi[p.host] / (om2 - p.mu) for p in config.pendants])
+    return np.array([p.g * psi.T[p.host] / (om2 - p.mu) for p in config.pendants])
+
+
+def peak_field(point, config, psi):
+    """Max |field| over defect and pendant sites, per leading frequency row."""
+    peak = np.abs(psi).max(axis=-1)
+    if config.pendants:
+        pendant = np.abs(pendant_amplitudes(point, config, psi)).max(axis=0)
+        peak = np.maximum(peak, pendant)
+    return peak
 
 
 def field_enhancement(point: SpectralPoint, config: LatticeConfig) -> float:
@@ -185,19 +282,18 @@ def field_enhancement(point: SpectralPoint, config: LatticeConfig) -> float:
     there (the scattering problem remains solvable, just not unique).
     """
     sol = solve_scattering(point, config, strict=False)
-    peak = float(np.max(np.abs(sol.psi)))
-    if config.pendants:
-        pvals = pendant_amplitudes(point, config, sol.psi)
-        peak = max(peak, float(np.max(np.abs(pvals))))
-    return peak
+    return float(peak_field(point, config, sol.psi))
 
 
-def scattered_field_at(point, config, psi, m: int, n: int) -> complex:
-    """Scattered field at an arbitrary lattice site from the site field psi."""
-    weighted = effective_potential(point.omega, config) * psi
+def scattered_field_at(orders, config, weighted, m: int, n: int) -> complex:
+    """Scattered field at an arbitrary lattice site.
+
+    ``orders`` is the ``order_arrays`` triple at the point and ``weighted``
+    the site field times V_eff.
+    """
     val = 0j
     for j in range(len(config.defects)):
         val += greens_function(
-            point, config.period, m - int(config.xs[j]), n - int(config.zs[j])
+            orders, config.period, m - int(config.xs[j]), n - int(config.zs[j])
         ) * weighted[j]
     return complex(val)

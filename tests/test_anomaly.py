@@ -145,21 +145,24 @@ class TestPhase:
     def test_empty_scatterer_flat(self):
         config = LatticeConfig(2, (Defect(0, 0, 0.0),))
         omegas = np.linspace(0.8, 1.0, 50)
-        ph = phase_curve(0.1, omegas, config)
+        t, _, raw = exact_transmission(config, 0.1, omegas)
+        ph = phase_curve(t, raw)
         assert np.max(np.abs(np.diff(ph))) < 1e-12
 
     def test_spike_sharpens(self, case2_config, coeffs_case2):
         c = coeffs_case2
         # off-resonance baseline slope, away from the anomaly
         far = np.linspace(c.omega0 + 0.05, c.omega0 + 0.10, 200)
-        ph_far = phase_curve(c.kappa0 + 0.01, far, case2_config)
+        t, _, raw = exact_transmission(case2_config, c.kappa0 + 0.01, far)
+        ph_far = phase_curve(t, raw)
         baseline = np.max(np.abs(np.diff(ph_far) / np.diff(far)))
         rates = {}
         for kt in (0.01, 0.005):
             center = c.omega0 - c.l2.real * kt * kt
             width = c.l2.imag * kt * kt
             omegas = center + np.linspace(-8 * width, 8 * width, 1501)
-            ph = phase_curve(c.kappa0 + kt, omegas, case2_config)
+            t, _, raw = exact_transmission(case2_config, c.kappa0 + kt, omegas)
+            ph = phase_curve(t, raw)
             rates[kt] = np.max(np.abs(np.diff(ph) / np.diff(omegas)))
         assert rates[0.01] > 100.0 * baseline, "no spike above baseline"
         assert rates[0.005] >= 2.0 * rates[0.01]
@@ -173,8 +176,9 @@ class TestPhase:
         width = c.l2.imag * kt * kt
         # two samples straddling the pi flip, too close for the zero floor
         omegas = np.array([dip - 0.1 * width, dip + 0.1 * width])
+        t, _, raw = exact_transmission(case2_config, c.kappa0 + kt, omegas)
         with pytest.raises(ConvergenceError):
-            phase_curve(c.kappa0 + kt, omegas, case2_config)
+            phase_curve(t, raw)
 
 
 class TestEnhancement:

@@ -1,5 +1,6 @@
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,13 @@ from slabresonance.errors import ConvergenceError
 
 CASE2 = "configs/case2_symmetric.json"
 CASE1_SEED = "configs/case1_seed.json"
+# the README transmission curve as written by an earlier version
+README_CURVE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                / "transmission" / "transmission_kappa_+0.020000.csv")
+
+
+def data_rows(text):
+    return [l for l in text.splitlines() if not l.startswith(("#", "omega"))]
 
 
 def run(argv):
@@ -79,6 +87,25 @@ class TestTransmission:
                     "--grid", "3", "--out", str(out)]) == 0
         text = next(out.glob("*.csv")).read_text()
         assert "wood-anomaly skip" in text
+
+    def test_pendant_pole_rows_skipped(self, tmp_path):
+        out = tmp_path / "t"
+        assert run(["transmission", "--config", CASE1_SEED, "--kappa", "0.2",
+                    "--omega-range", "0.7071067811865476:0.8", "--grid", "3",
+                    "--out", str(out)]) == 0
+        text = next(out.glob("*.csv")).read_text()
+        skips = [l for l in text.splitlines() if "skip" in l]
+        assert skips == ["# pendant-pole skip omega=7.071067811865e-01"]
+        assert len(data_rows(text)) == 2
+
+    def test_readme_curve_unchanged(self, tmp_path):
+        out = tmp_path / "t"
+        assert run(["transmission", "--config", CASE2, "--kappa", "0.02",
+                    "--omega-range", "1.40:1.55", "--grid", "400",
+                    "--out", str(out)]) == 0
+        got = (out / README_CURVE.name).read_text()
+        assert data_rows(got) == data_rows(README_CURVE.read_text())
+        assert len(data_rows(got)) == 400
 
 
 class TestDispersion:

@@ -13,10 +13,8 @@ from slabresonance.expansion import (
     ExpansionCoefficients,
     _classify_linear,
     convexity_gap,
-    eigval_sampler,
-    refl_sampler,
-    trans_sampler,
     sample_radius,
+    triple_sampler,
 )
 from slabresonance.modes import GuidedMode
 from slabresonance.scattering import solve_scattering
@@ -49,7 +47,7 @@ class TestFitZeroCurve:
         assert abs(coef[2] - 2.0) < 1e-6
 
     def test_symmetric_config_even_curve(self, case2_config, case2_mode):
-        f = eigval_sampler(case2_config, case2_mode)
+        f = triple_sampler(case2_config, case2_mode, "eigval")
         coef, errors, _ = fit_zero_curve(f, case2_mode, 2,
                                          config=case2_config)
         assert abs(coef[0]) < errors[0], "linear coefficient should vanish"
@@ -57,9 +55,10 @@ class TestFitZeroCurve:
     def test_case1_linear_coefficients_agree(self, case1_tuned):
         config, mode = case1_tuned
         radius = sample_radius(config, mode)
-        cl, el, _ = fit_zero_curve(eigval_sampler(config, mode), mode, 2, radius)
-        ca, ea, _ = fit_zero_curve(refl_sampler(config, mode), mode, 2, radius)
-        cb, eb, _ = fit_zero_curve(trans_sampler(config, mode), mode, 2, radius)
+        (cl, el, _), (ca, ea, _), (cb, eb, _) = (
+            fit_zero_curve(triple_sampler(config, mode, part), mode, 2, radius)
+            for part in ("eigval", "refl", "trans")
+        )
         assert abs(cl[0] - ca[0]) < 3 * (el[0] + ea[0])
         assert abs(cl[0] - cb[0]) < 3 * (el[0] + eb[0])
 
@@ -67,7 +66,7 @@ class TestFitZeroCurve:
         """Roots at +-kt agree for the mirror-symmetric config."""
         from slabresonance.expansion import _omega_zero
 
-        f = eigval_sampler(case2_config, case2_mode)
+        f = triple_sampler(case2_config, case2_mode, "eigval")
         for kt in (0.012, 0.006 + 0.004j):
             om_p = _omega_zero(f, case2_mode.kappa0 + kt, case2_mode.omega0)
             om_m = _omega_zero(f, case2_mode.kappa0 - kt, case2_mode.omega0)
