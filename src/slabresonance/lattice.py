@@ -178,8 +178,8 @@ def _read_only(values) -> np.ndarray:
 class SpectralPoint:
     """A (kappa, omega) pair; either entry may be complex.
 
-    ``omega`` may also be an array of real frequencies at one real kappa: the
-    arrays ``evaluate_point`` derives then carry its leading axis.
+    ``omega`` may also be an array of frequencies at one kappa, complex ones
+    too: the arrays ``evaluate_point`` derives then carry its leading axis.
     """
 
     kappa: complex

@@ -20,7 +20,13 @@ from .errors import (
     DispersionSignError,
     SlabError,
 )
-from .lattice import LatticeConfig, SpectralPoint, effective_potential, order_arrays
+from .lattice import (
+    LatticeConfig,
+    SpectralPoint,
+    effective_potential,
+    interaction_matrix,
+    order_arrays,
+)
 from .scattering import eigen_branch, order_amplitude, scattered_field_at
 
 IM_OMEGA_TOL = 1e-9
@@ -63,21 +69,31 @@ def omega_root(kappa, omega_guess, config: LatticeConfig,
     """Newton-solve the tracked eigenvalue to zero in omega at fixed kappa.
 
     The derivative is taken by central differences with step
-    1e-6 * (1 + |omega|).  For real kappa the converged root must satisfy
+    1e-6 * (1 + |omega|).  Each step is one batched ``eigen_branch`` call on
+    [omega, omega + h, omega - h]: the stencil rows are tracked from the
+    eigenvector at omega.  If that call raises, omega alone is evaluated
+    again to tell an invalid guess, a step out of the valid domain and a
+    stencil out of it apart.  For real kappa the converged root must satisfy
     Im omega <= 1e-9; a violation is a branch or model error and raises.
     """
     om = complex(omega_guess)
     vec = anchor
     prev_abs = None
     for it in range(max_iter):
+        h = 1e-6 * (1.0 + abs(om))
+        stencil = SpectralPoint(kappa, np.array([om, om + h, om - h]))
         try:
-            ell, vec = eigen_branch(SpectralPoint(kappa, om), config, vec)
+            (ell, lp, lm), vec = eigen_branch(stencil, config, vec)
         except (ArithmeticError, SlabError):
-            if it == 0:
-                raise  # the guess itself is invalid: report the real cause
-            raise ConvergenceError(
-                f"omega_root left the valid domain at omega={om}"
-            ) from None
+            lp = None  # the stencil failed; its point alone decides why
+            try:
+                ell, vec = eigen_branch(SpectralPoint(kappa, om), config, vec)
+            except (ArithmeticError, SlabError):
+                if it == 0:
+                    raise  # the guess itself is invalid: report the real cause
+                raise ConvergenceError(
+                    f"omega_root left the valid domain at omega={om}"
+                ) from None
         if abs(ell) < tol:
             break
         if it == 1 and prev_abs is not None and abs(ell) > prev_abs:
@@ -86,15 +102,11 @@ def omega_root(kappa, omega_guess, config: LatticeConfig,
                 f"(|eig| {prev_abs:.2e} -> {abs(ell):.2e})"
             )
         prev_abs = abs(ell) if prev_abs is None else prev_abs
-        h = 1e-6 * (1.0 + abs(om))
-        try:
-            lp, _ = eigen_branch(SpectralPoint(kappa, om + h), config, vec)
-            lm, _ = eigen_branch(SpectralPoint(kappa, om - h), config, vec)
-        except (ArithmeticError, SlabError):
+        if lp is None:
             raise ConvergenceError(
                 f"omega_root derivative stencil left the valid domain at "
                 f"omega={om}"
-            ) from None
+            )
         deriv = (lp - lm) / (2.0 * h)
         if deriv == 0:
             raise ConvergenceError("omega_root: vanishing derivative")
@@ -142,22 +154,36 @@ def trace_branch(config: LatticeConfig, kappas, omega_seed,
     return out
 
 
-def branch_seeds(config: LatticeConfig, kappa, omega_window, n_grid=120):
-    """Candidate omega roots at fixed kappa: minima of the smallest |eig|."""
-    from .lattice import interaction_matrix
+def _smallest_eig_moduli(config, kappa, oms):
+    """min |eig A| at each frequency of ``oms``, one batched A and eigvals.
 
+    Each value has the bits of a single-point evaluation.  If a frequency is
+    invalid, the first one in grid order raises its own error.
+    """
+    try:
+        a = interaction_matrix(SpectralPoint(kappa, oms), config)
+    except (ArithmeticError, SlabError):
+        for om in oms:
+            interaction_matrix(SpectralPoint(kappa, om), config)
+        raise
+    return np.min(np.abs(np.linalg.eigvals(a)), axis=-1)
+
+
+def branch_seeds(config: LatticeConfig, kappa, omega_window, n_grid=120):
+    """Candidate omega roots at fixed kappa: minima of the smallest |eig|.
+
+    The local minima below 0.6 of min |eig A| on an ``n_grid``-point omega
+    grid, smallest first.  The grid is evaluated as one batch.
+    """
     lo, hi = omega_window
     oms = np.linspace(lo, hi, n_grid)
-    vals = np.empty(n_grid)
-    for i, om in enumerate(oms):
-        a = interaction_matrix(SpectralPoint(kappa, om), config)
-        vals[i] = np.min(np.abs(np.linalg.eigvals(a)))
-    seeds = [
-        oms[i]
+    vals = _smallest_eig_moduli(config, kappa, oms)
+    minima = [
+        i
         for i in range(1, n_grid - 1)
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 0.6
     ]
-    return sorted(seeds, key=lambda om: vals[int(np.argmin(np.abs(oms - om)))])
+    return [oms[i] for i in sorted(minima, key=lambda i: vals[i])]
 
 
 def null_order0_amplitudes(kappa, omega, config, vec):

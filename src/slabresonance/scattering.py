@@ -203,22 +203,30 @@ def solve_grid(kappa: float, omegas, config: LatticeConfig) -> GridSolution:
     return GridSolution(omegas, status, psi, refl, trans)
 
 
-def _tracked_eigenpair(a, anchor):
-    evals, evecs = np.linalg.eig(a)
+def _pick(evals, evecs, anchor):
+    """Index of the tracked eigenpair among one matrix's ``evals``/``evecs``.
+
+    Without an anchor, the eigenvalue of smallest modulus; with one, the
+    eigenvector of maximal overlap, where an ambiguous overlap (< 0.5) between
+    distinct eigenvalues raises BranchCollisionError.
+    """
     if anchor is None:
-        i = int(np.argmin(np.abs(evals)))
-    else:
-        overlaps = np.abs(anchor.conj() @ evecs)
-        order = np.argsort(-overlaps)
-        i = int(order[0])
-        if len(evals) > 1 and overlaps[i] ** 2 < 0.5:
-            j = int(order[1])
-            if abs(evals[i] - evals[j]) > 1e-10:
-                raise BranchCollisionError(
-                    f"branch overlap {overlaps[i]**2:.3f} ambiguous "
-                    f"between {evals[i]:.6g} and {evals[j]:.6g}"
-                )
-    vec = evecs[:, i]
+        return int(np.argmin(np.abs(evals)))
+    overlaps = np.abs(anchor.conj() @ evecs)
+    order = np.argsort(-overlaps)
+    i = int(order[0])
+    if len(evals) > 1 and overlaps[i] ** 2 < 0.5:
+        j = int(order[1])
+        if abs(evals[i] - evals[j]) > 1e-10:
+            raise BranchCollisionError(
+                f"branch overlap {overlaps[i]**2:.3f} ambiguous "
+                f"between {evals[i]:.6g} and {evals[j]:.6g}"
+            )
+    return i
+
+
+def _gauged(vec, anchor):
+    """Unit eigenvector in a fixed phase gauge."""
     if anchor is not None:
         # overlap-phase gauge: continuous along anchored continuation paths
         # (the largest-entry gauge jumps when two entries tie in magnitude)
@@ -226,8 +234,7 @@ def _tracked_eigenpair(a, anchor):
     else:
         phase = np.angle(vec[int(np.argmax(np.abs(vec)))])
     vec = vec * np.exp(-1j * phase)
-    vec = vec / np.linalg.norm(vec)
-    return evals[i], vec
+    return vec / np.linalg.norm(vec)
 
 
 def eigen_branch(point: SpectralPoint, config: LatticeConfig,
@@ -238,8 +245,21 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     an anchor vector, the eigenvector of maximal overlap continues the branch;
     an ambiguous overlap (< 0.5) between distinct eigenvalues raises
     BranchCollisionError so the caller can refine the continuation path.
+
+    ``point.omega`` may be an array of frequencies, complex ones too, at one
+    kappa.  Then A is built and eigendecomposed once for all rows: row 0 is
+    tracked from ``anchor``, every other row from row 0's eigenvector, and
+    the result is (array of row eigenvalues, row 0's vector).  Each row has
+    the bits of a single-point call with that anchor.
     """
-    return _tracked_eigenpair(interaction_matrix(point, config), anchor)
+    evals, evecs = np.linalg.eig(interaction_matrix(point, config))
+    if evals.ndim == 1:
+        i = _pick(evals, evecs, anchor)
+        return evals[i], _gauged(evecs[:, i], anchor)
+    i = _pick(evals[0], evecs[0], anchor)
+    vec = _gauged(evecs[0][:, i], anchor)
+    picks = [i] + [_pick(e, v, vec) for e, v in zip(evals[1:], evecs[1:])]
+    return evals[np.arange(len(evals)), picks], vec
 
 
 def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
@@ -251,7 +271,8 @@ def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
     by linearity, and avoids 0/0 at the mode.
     """
     evaluation = evaluate_point(point, config)
-    ell, _ = _tracked_eigenpair(evaluation[2], anchor)
+    evals, evecs = np.linalg.eig(evaluation[2])
+    ell = evals[_pick(evals, evecs, anchor)]
     _require_one_order(point, config)
     _, refl, trans, _ = _scatter(evaluation, config, strict=False)
     return CoefficientTriple(ell, ell * refl, ell * trans)

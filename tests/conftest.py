@@ -12,7 +12,7 @@ from slabresonance import (
     find_real_mode,
     tune_structure,
 )
-from slabresonance.lattice import propagating_orders
+from slabresonance.lattice import interaction_matrix, propagating_orders
 from slabresonance.errors import WoodAnomalyError
 
 # Even with database=None, Hypothesis caches the literals it reads from the
@@ -75,9 +75,13 @@ def coeffs_case1(case1_tuned):
 
 
 def random_lossless_config(rng, max_period=3, max_defects=3):
-    """A random valid lossless config (possibly with one pendant)."""
+    """A random valid lossless config (possibly with one pendant).
+
+    Defects sit on distinct sites in rows z in [-2, 2], so a draw of more
+    defects than the 5 * period sites there is capped at that number.
+    """
     period = int(rng.integers(1, max_period + 1))
-    n_def = int(rng.integers(1, max_defects + 1))
+    n_def = min(int(rng.integers(1, max_defects + 1)), 5 * period)
     sites = set()
     defects = []
     while len(defects) < n_def:
@@ -97,6 +101,20 @@ def random_lossless_config(rng, max_period=3, max_defects=3):
             ),
         )
     return LatticeConfig(period, tuple(defects), pendants)
+
+
+def ambiguous_anchor(point, config):
+    """A unit vector overlapping none of A's eigenvectors well at ``point``.
+
+    Built for the 4-site CASE1_SEED: orthogonal to three of the eigenvectors.
+    """
+    a = interaction_matrix(point, config)
+    _, evecs = np.linalg.eig(a)
+    probe = np.ones(len(a), dtype=complex)
+    for j in (2, 3, 1):
+        v = evecs[:, j] / np.linalg.norm(evecs[:, j])
+        probe = probe - (v.conj() @ probe) * v
+    return probe / np.linalg.norm(probe)
 
 
 def random_regime_point(rng, config, max_tries=200):

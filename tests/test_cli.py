@@ -11,13 +11,14 @@ from slabresonance.errors import ConvergenceError
 
 CASE2 = "configs/case2_symmetric.json"
 CASE1_SEED = "configs/case1_seed.json"
-# the README transmission curve as written by an earlier version
-README_CURVE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-                / "transmission" / "transmission_kappa_+0.020000.csv")
+# README command outputs as written by an earlier version
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+README_CURVE = REFERENCE / "transmission" / "transmission_kappa_+0.020000.csv"
 
 
 def data_rows(text):
-    return [l for l in text.splitlines() if not l.startswith(("#", "omega"))]
+    return [l for l in text.splitlines()
+            if not l.startswith(("#", "omega", "kappa"))]
 
 
 def run(argv):
@@ -122,6 +123,16 @@ class TestDispersion:
         assert np.all(rows[:, 2] <= 1e-9)
         assert np.all(rows[:, 3] < 1e-10)
 
+    def test_readme_branch_unchanged(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["dispersion", "--config", CASE2,
+                    "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                    "--grid", "100", "--out", str(out)]) == 0
+        got = (out / "dispersion.csv").read_text()
+        want = (REFERENCE / "dispersion" / "dispersion.csv").read_text()
+        assert data_rows(got) == data_rows(want)
+        assert len(data_rows(got)) == 100
+
     def test_empty_scatterer_errors(self, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text(json.dumps({
@@ -145,6 +156,15 @@ class TestModeCommands:
         assert abs(data["omega0"] - 1.4971229592699646) < 1e-8
         assert data["verification"]["checks"]["decay"]
         assert data["manifest"]["command"] == "find-mode"
+
+    def test_readme_mode_unchanged(self, tmp_path):
+        out = tmp_path / "m"
+        assert run(["find-mode", "--config", CASE2,
+                    "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                    "--out", str(out)]) == 0
+        got = json.loads((out / "mode.json").read_text())
+        want = json.loads((REFERENCE / "find-mode" / "mode.json").read_text())
+        assert (got["kappa0"], got["omega0"]) == (want["kappa0"], want["omega0"])
 
     def test_find_mode_none_exit_2(self, tmp_path):
         code = run(["find-mode", "--config", CASE1_SEED,

@@ -12,8 +12,14 @@ from slabresonance import (
     tune_structure,
     verify_mode,
 )
-from slabresonance.errors import ConvergenceError
+from slabresonance.errors import (
+    BranchCollisionError,
+    ConvergenceError,
+    PendantPoleError,
+)
 from slabresonance.modes import branch_seeds
+
+from conftest import ambiguous_anchor
 
 
 class TestOmegaRoot:
@@ -39,6 +45,28 @@ class TestOmegaRoot:
     def test_nonconvergence_reported(self, case2_config):
         with pytest.raises(ConvergenceError):
             omega_root(0.1, 5.0 + 0j, case2_config, max_iter=8)
+
+
+class TestOmegaRootErrors:
+    """Which error a failed batched Newton step reports."""
+
+    def test_guess_on_pendant_pole(self, case1_seed_config):
+        pole = np.sqrt(case1_seed_config.pendants[0].mu)
+        with pytest.raises(PendantPoleError):
+            omega_root(0.2, pole, case1_seed_config)
+
+    def test_stencil_reaches_pendant_pole(self, case1_seed_config):
+        pole = np.sqrt(case1_seed_config.pendants[0].mu)
+        om = (pole - 1e-6) / (1.0 + 1e-6)  # om + h lands on the pole
+        eigen_branch(SpectralPoint(0.2, om), case1_seed_config)  # om is valid
+        with pytest.raises(ConvergenceError, match="derivative stencil"):
+            omega_root(0.2, om, case1_seed_config)
+
+    def test_branch_collision_at_guess(self, case1_seed_config):
+        point = SpectralPoint(0.1, 1.2)
+        probe = ambiguous_anchor(point, case1_seed_config)
+        with pytest.raises(BranchCollisionError, match="branch overlap"):
+            omega_root(point.kappa, point.omega, case1_seed_config, probe)
 
 
 class TestFindRealMode:

@@ -1,4 +1,4 @@
-"""Randomised property tests of the scattering solver.
+"""Randomised property tests of the scattering solver and the root finders.
 
 Hypothesis draws a seed; the seed builds a random lossless config and a real
 point with exactly order 0 propagating (``random_lossless_config`` and
@@ -12,17 +12,23 @@ import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from slabresonance import SpectralPoint, solve_scattering
+from slabresonance import SpectralPoint, eigen_branch, solve_scattering
 from slabresonance.errors import (
     BranchCollisionError,
     ConvergenceError,
     NearSingularError,
     NoPropagatingOrderError,
     PendantPoleError,
+    SlabError,
     WoodAnomalyError,
 )
-from slabresonance.lattice import OK
-from slabresonance.modes import IM_OMEGA_TOL, branch_seeds, trace_branch
+from slabresonance.lattice import OK, interaction_matrix
+from slabresonance.modes import (
+    IM_OMEGA_TOL,
+    _smallest_eig_moduli,
+    branch_seeds,
+    trace_branch,
+)
 from slabresonance.scattering import SKIP_ERRORS, solve_grid
 
 from _oracles import strip_solve
@@ -35,6 +41,13 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 def examples(n):
     return settings(max_examples=n, derandomize=True, database=None,
                     deadline=None)
+
+
+def test_random_config_caps_defects_at_sites():
+    """Seed 0 draws 6 defects for period 1, which has 5 sites in z in [-2, 2]."""
+    config = random_lossless_config(np.random.default_rng(0), 1, 6)
+    assert config.period == 1
+    assert sorted(config.zs) == [-2, -1, 0, 1, 2]
 
 
 def random_case(seed):
@@ -148,3 +161,85 @@ def test_dispersion_sign(seed):
         except (ConvergenceError, BranchCollisionError):
             continue  # an untraceable branch says nothing about the sign
         assert max(s.omega.imag for s in samples) <= IM_OMEGA_TOL
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, SlabError) as exc:
+        return type(exc), str(exc)
+
+
+def per_point_seeds(config, kappa, window, n_grid=120):
+    """branch_seeds as a loop of single-point eigvals: (seeds, min |eig|)."""
+    oms = np.linspace(window[0], window[1], n_grid)
+    vals = np.array([
+        np.min(np.abs(np.linalg.eigvals(
+            interaction_matrix(SpectralPoint(kappa, om), config))))
+        for om in oms
+    ])
+    minima = [i for i in range(1, n_grid - 1)
+              if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 0.6]
+    seeds = [oms[i] for i in sorted(minima, key=lambda i: vals[i])]
+    return seeds, vals
+
+
+@examples(40)
+@given(SEEDS)
+def test_branch_seeds_equal_per_point_loop(seed):
+    """Same seeds and min |eig| bits; with an invalid grid point, the error of
+    the first one in grid order (a pendant pole ahead of a Wood point)."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng)
+    kappa = float(rng.uniform(-0.4, 0.4))
+    wood = 2.0 * abs(np.sin(kappa / 2.0))
+    window = (float(rng.uniform(0.0, 1.5)), float(rng.uniform(1.5, 2.9)))
+    kind = int(rng.integers(0, 3))
+    if kind == 1:
+        window = (window[0], wood)
+    elif kind == 2 and config.pendants:
+        window = (np.sqrt(config.pendants[0].mu), wood)
+    want = outcome(per_point_seeds, config, kappa, window)
+    got = outcome(branch_seeds, config, kappa, window)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got == want[0]
+    oms = np.linspace(window[0], window[1], 120)
+    assert bits(_smallest_eig_moduli(config, kappa, oms)) == bits(want[1])
+
+
+def per_point_branch(point, config, anchor):
+    """Batched eigen_branch as single calls: row 0 on ``anchor``, the other
+    rows on row 0's vector."""
+    oms = np.atleast_1d(point.omega)
+    ell, vec = eigen_branch(SpectralPoint(point.kappa, oms[0]), config, anchor)
+    rows = [ell] + [eigen_branch(SpectralPoint(point.kappa, om), config, vec)[0]
+                    for om in oms[1:]]
+    return np.array(rows), vec
+
+
+@examples(60)
+@given(SEEDS)
+def test_batched_eigen_branch_equals_single_calls(seed):
+    """Complex frequency rows at real or complex kappa, with no anchor or the
+    eigenvector of a nearby point (which may collide on some row)."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng)
+    kappa = complex(rng.uniform(-0.4, 0.4), rng.choice([0.0, 0.05]))
+    oms = rng.uniform(0.2, 2.8, 5) - 1j * rng.uniform(0.0, 0.2, 5)
+    anchor = None
+    if rng.random() < 0.7:
+        near = SpectralPoint(kappa, oms[0] + complex(*rng.uniform(-0.1, 0.1, 2)))
+        anchor = outcome(eigen_branch, near, config)[1]
+        if isinstance(anchor, str):
+            reject()
+    point = SpectralPoint(kappa, oms)
+    want = outcome(per_point_branch, point, config, anchor)
+    got = outcome(eigen_branch, point, config, anchor)
+    if isinstance(want[0], type):
+        assert got[0] is want[0]
+        return
+    assert bits(got[0]) == bits(want[0])
+    assert bits(got[1]) == bits(want[1])

@@ -15,7 +15,7 @@ from slabresonance.errors import NearSingularError, NoPropagatingOrderError
 
 from _oracles import strip_solve
 
-from conftest import random_lossless_config, random_regime_point
+from conftest import ambiguous_anchor, random_lossless_config, random_regime_point
 
 EMPTY = LatticeConfig(2, (Defect(0, 0, 0.0),))
 
@@ -184,16 +184,8 @@ class TestFieldEnhancement:
 
 def test_branch_collision_on_ambiguous_anchor(case1_seed_config):
     from slabresonance.errors import BranchCollisionError
-    from slabresonance.lattice import interaction_matrix
 
     point = SpectralPoint(0.1, 1.2)
-    a = interaction_matrix(point, case1_seed_config)
-    _, evecs = np.linalg.eig(a)
-    # an anchor orthogonal to most of the eigenbasis overlaps nothing well
-    probe = np.ones(len(a), dtype=complex)
-    for j in (2, 3, 1):
-        v = evecs[:, j] / np.linalg.norm(evecs[:, j])
-        probe = probe - (v.conj() @ probe) * v
-    probe /= np.linalg.norm(probe)
+    probe = ambiguous_anchor(point, case1_seed_config)
     with pytest.raises(BranchCollisionError):
         eigen_branch(point, case1_seed_config, probe)
