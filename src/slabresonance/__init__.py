@@ -26,7 +26,6 @@ from .errors import (
 from .lattice import (
     Defect,
     LatticeConfig,
-    OrderSpectrum,
     Pendant,
     SpectralPoint,
     greens_function,

@@ -37,6 +37,7 @@ from .modes import (
     polish_mode,
     trace_branch,
     tune_structure,
+    verify_mode,
 )
 from .scattering import solve_grid
 
@@ -147,8 +148,6 @@ def _mode_payload(mode: GuidedMode, report: dict | None = None) -> dict:
 
 
 def cmd_find_mode(args) -> int:
-    from .modes import verify_mode
-
     config = _load_config(args)
     mode = find_real_mode(config, _parse_range(args.kappa_range),
                           _parse_range(args.omega_range), n_kappa=args.grid)
@@ -163,8 +162,6 @@ def cmd_find_mode(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from .modes import verify_mode
-
     config = _load_config(args)
     param_range = _parse_range(args.param_range) if args.param_range else None
     tuned, mode = tune_structure(

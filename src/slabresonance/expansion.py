@@ -19,10 +19,13 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .lattice import LatticeConfig, SpectralPoint, wood_distance
-from .modes import GuidedMode
-from .scattering import coefficient_triple, eigen_branch, solve_scattering
+from .modes import GuidedMode, _omega_newton
+# eigen_branch: perfbench/selftest.py checks that its tracer wraps this binding
+from .scattering import coefficient_triple, eigen_branch, solve_scattering  # noqa: F401
 
 N_ANGLES = 6
+ZERO_TOL = 5e-13
+ZERO_MAX_ITER = 60
 MAX_RADIUS = 0.02
 EPS = np.finfo(float).eps
 
@@ -83,34 +86,15 @@ def triple_sampler(config: LatticeConfig, mode: GuidedMode, part: str):
     """Sampler f(kappa, omega) of one member of the analytic triple.
 
     ``part`` names the ``CoefficientTriple`` field: ``"eigval"``, ``"refl"``
-    or ``"trans"``.  The eigenvalue branch is anchored at the mode null vector.
+    or ``"trans"``.  f takes an array of frequencies at one kappa, makes one
+    ``coefficient_triple`` call anchored at the mode null vector and returns
+    one value per row.
     """
-    anchor = mode.nullvector
-
     def f(kappa, omega):
         point = SpectralPoint(kappa, omega)
-        if part == "eigval":  # the eig alone, without the solve
-            return eigen_branch(point, config, anchor)[0]
-        return getattr(coefficient_triple(point, config, anchor), part)
+        return getattr(coefficient_triple(point, config, mode.nullvector), part)
 
     return f
-
-
-def _omega_zero(f, kappa, omega_start, tol=5e-13, max_iter=60):
-    """Complex Newton on omega for f(kappa, omega) = 0."""
-    om = complex(omega_start)
-    for _ in range(max_iter):
-        val = f(kappa, om)
-        if abs(val) < tol:
-            return om
-        h = 1e-6 * (1.0 + abs(om))
-        deriv = (f(kappa, om + h) - f(kappa, om - h)) / (2.0 * h)
-        if deriv == 0:
-            break
-        om = om - val / deriv
-    raise ConvergenceError(
-        f"zero-curve Newton failed at kappa={kappa} (|f|={abs(val):.2e})"
-    )
 
 
 def sample_radius(config: LatticeConfig, mode: GuidedMode) -> float:
@@ -138,7 +122,8 @@ def _sample_curve(f, mode: GuidedMode, radius: float):
     for rad in (radius, radius / 2.0):
         for th in angles:
             kt = rad * np.exp(1j * th)
-            om = _omega_zero(f, mode.kappa0 + kt, mode.omega0)
+            om, _ = _omega_newton(f, mode.kappa0 + kt, mode.omega0,
+                                  ZERO_TOL, ZERO_MAX_ITER)
             kts.append(kt)
             oms.append(om)
     return np.array(kts), np.array(oms)
@@ -164,9 +149,12 @@ def fit_zero_curve(f, mode: GuidedMode, degree: int = 2,
                    radius: float | None = None, config: LatticeConfig = None):
     """Fit omega(kt) = omega0 - c1*kt - c2*kt^2 (- c3*kt^3) on two circles.
 
-    Returns (coefs, errors, resid): arrays of fitted coefficients c1..c_degree
-    and per-coefficient error estimates from circle consistency plus the max
-    fit residual.  Twelve samples on circles of radius rho and rho/2.
+    ``f(kappa, omega)`` takes an array of frequencies at one kappa and
+    returns one value per row; each sample is its ``modes._omega_newton``
+    root from omega0, and a failed one raises ConvergenceError.  Returns
+    (coefs, errors, resid): arrays of fitted coefficients c1..c_degree and
+    per-coefficient error estimates from circle consistency plus the max fit
+    residual.  Twelve samples on circles of radius rho and rho/2.
     """
     if radius is None:
         if config is None:

@@ -186,20 +186,6 @@ class SpectralPoint:
     omega: complex
 
 
-@dataclass(frozen=True)
-class OrderSpectrum:
-    """Per-order transverse wavenumbers and z-wavenumbers for one point."""
-
-    kappa_p: np.ndarray
-    eta: np.ndarray
-    propagating: np.ndarray
-
-    @property
-    def only_order_zero(self) -> bool:
-        """Exactly order 0 propagates, as far-field extraction needs."""
-        return bool(_only_order_zero(self.propagating))
-
-
 def order_wavenumber(kappa_p, omega):
     """z-wavenumber eta for diffraction orders; array arguments broadcast.
 
@@ -266,23 +252,24 @@ def _hits_pole(denom, pendant: Pendant):
     return abs(denom) < PENDANT_POLE_TOL * (1.0 + abs(pendant.mu))
 
 
-def propagating_orders(point: SpectralPoint, period: int) -> OrderSpectrum:
-    """Classify all orders at a real (kappa, omega) point.
+def propagating_orders(point: SpectralPoint, period: int) -> np.ndarray:
+    """Mask of the propagating orders p = 0..period-1 at a real point.
 
-    Raises WoodAnomalyError when any order is within 1e-9 of a branch point
+    An array of real frequencies gives the mask a leading axis.  Raises
+    WoodAnomalyError when any order is within 1e-9 of a branch point
     (w in {0, 1}); the analysis assumes a fixed number of propagating orders.
     """
     kappa, omega = point.kappa, point.omega
-    if abs(np.imag(kappa)) > 0 or abs(np.imag(omega)) > 0:
+    if np.imag(kappa) != 0 or np.any(np.imag(omega)):
         raise ValueError("propagating_orders expects real kappa and omega")
-    kappa_p, w = _order_variable(kappa, omega, period)
-    if _near_branch_point(w):
+    _, w = _order_variable(kappa, omega, period)
+    near = _near_branch_point(w)
+    if near.any():
         raise WoodAnomalyError(
             f"order within {WOOD_GUARD:.0e} of its branch point at "
-            f"kappa={kappa}, omega={omega}"
+            f"kappa={kappa}, omega={np.asarray(omega)[near].flat[0]}"
         )
-    eta = order_wavenumber(kappa_p, omega)
-    return OrderSpectrum(kappa_p.astype(complex), eta, (w > 0) & (w < 1))
+    return (w > 0) & (w < 1)
 
 
 OK = "ok"

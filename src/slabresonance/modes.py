@@ -63,64 +63,79 @@ class GuidedMode:
         }
 
 
+def _omega_newton(f, kappa, omega_guess, tol, max_iter):
+    """Newton-solve f(kappa, omega) = 0 in complex omega at fixed kappa.
+
+    ``f`` takes one frequency or an array of them at one kappa and returns
+    one value per row.  Each step is one call on [omega, omega + h,
+    omega - h], h = 1e-6 * (1 + |omega|), for a central difference.  If it
+    raises, omega alone is evaluated again: an invalid guess raises its own
+    error; a step or a stencil out of the valid domain raises
+    ConvergenceError, as does a second iterate with larger |f| (a guess
+    outside the basin).  Returns (root, |f| at the root).
+    """
+    om = complex(omega_guess)
+    for it in range(max_iter):
+        h = 1e-6 * (1.0 + abs(om))
+        try:
+            val, fp, fm = f(kappa, np.array([om, om + h, om - h]))
+        except (ArithmeticError, SlabError):
+            fp = None  # the stencil failed; its point alone decides why
+            try:
+                val = f(kappa, om)
+            except (ArithmeticError, SlabError):
+                if it == 0:
+                    raise  # the guess itself is invalid: report the real cause
+                raise ConvergenceError(
+                    f"omega Newton left the valid domain at omega={om}"
+                ) from None
+        if abs(val) < tol:
+            return om, abs(val)
+        if it == 0:
+            first_abs = abs(val)
+        elif it == 1 and abs(val) > first_abs:
+            raise ConvergenceError(
+                f"omega Newton guess {omega_guess} outside basin "
+                f"(|f| {first_abs:.2e} -> {abs(val):.2e})"
+            )
+        if fp is None:
+            raise ConvergenceError(
+                f"omega Newton derivative stencil left the valid domain at "
+                f"omega={om}"
+            )
+        deriv = (fp - fm) / (2.0 * h)
+        if deriv == 0:
+            raise ConvergenceError("omega Newton: vanishing derivative")
+        om = om - val / deriv
+    raise ConvergenceError(
+        f"omega Newton did not converge in {max_iter} iterations "
+        f"(kappa={kappa}, last |f|={abs(val):.2e})"
+    )
+
+
 def omega_root(kappa, omega_guess, config: LatticeConfig,
                anchor: np.ndarray | None = None, tol: float = ROOT_TOL,
                max_iter: int = 50) -> DispersionSample:
     """Newton-solve the tracked eigenvalue to zero in omega at fixed kappa.
 
-    The derivative is taken by central differences with step
-    1e-6 * (1 + |omega|).  Each step is one batched ``eigen_branch`` call on
-    [omega, omega + h, omega - h]: the stencil rows are tracked from the
-    eigenvector at omega.  If that call raises, omega alone is evaluated
-    again to tell an invalid guess, a step out of the valid domain and a
-    stencil out of it apart.  For real kappa the converged root must satisfy
-    Im omega <= 1e-9; a violation is a branch or model error and raises.
+    ``_omega_newton`` on ``eigen_branch``: the stencil rows are tracked from
+    the eigenvector at omega, which anchors the next step.  For real kappa
+    the root must satisfy Im omega <= 1e-9; a violation is a branch or model
+    error and raises.
     """
-    om = complex(omega_guess)
     vec = anchor
-    prev_abs = None
-    for it in range(max_iter):
-        h = 1e-6 * (1.0 + abs(om))
-        stencil = SpectralPoint(kappa, np.array([om, om + h, om - h]))
-        try:
-            (ell, lp, lm), vec = eigen_branch(stencil, config, vec)
-        except (ArithmeticError, SlabError):
-            lp = None  # the stencil failed; its point alone decides why
-            try:
-                ell, vec = eigen_branch(SpectralPoint(kappa, om), config, vec)
-            except (ArithmeticError, SlabError):
-                if it == 0:
-                    raise  # the guess itself is invalid: report the real cause
-                raise ConvergenceError(
-                    f"omega_root left the valid domain at omega={om}"
-                ) from None
-        if abs(ell) < tol:
-            break
-        if it == 1 and prev_abs is not None and abs(ell) > prev_abs:
-            raise ConvergenceError(
-                f"omega_root guess {omega_guess} outside basin "
-                f"(|eig| {prev_abs:.2e} -> {abs(ell):.2e})"
-            )
-        prev_abs = abs(ell) if prev_abs is None else prev_abs
-        if lp is None:
-            raise ConvergenceError(
-                f"omega_root derivative stencil left the valid domain at "
-                f"omega={om}"
-            )
-        deriv = (lp - lm) / (2.0 * h)
-        if deriv == 0:
-            raise ConvergenceError("omega_root: vanishing derivative")
-        om = om - ell / deriv
-    else:
-        raise ConvergenceError(
-            f"omega_root did not converge in {max_iter} iterations "
-            f"(kappa={kappa}, last |eig|={abs(ell):.2e})"
-        )
+
+    def branch(k, oms):
+        nonlocal vec
+        ell, vec = eigen_branch(SpectralPoint(k, oms), config, vec)
+        return ell
+
+    om, residual = _omega_newton(branch, kappa, omega_guess, tol, max_iter)
     if np.imag(np.asarray(kappa)) == 0 and om.imag > IM_OMEGA_TOL:
         raise DispersionSignError(
             f"Im omega = {om.imag:.3e} > 0 at real kappa={kappa}"
         )
-    return DispersionSample(kappa, om, abs(ell), vec)
+    return DispersionSample(kappa, om, residual, vec)
 
 
 def _root_with_halving(k_prev, om, vec, k, config, depth=6):
@@ -203,8 +218,8 @@ def _rho(kappa, om_guess, config, anchor):
     finite-difference slopes near the zero.
     """
     samp = omega_root(kappa, om_guess, config, anchor, tol=1e-13, max_iter=80)
-    right, left = null_order0_amplitudes(kappa, samp.omega, config, samp.vector)
-    return right, left, samp
+    right, _ = null_order0_amplitudes(kappa, samp.omega, config, samp.vector)
+    return right, samp
 
 
 def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
@@ -218,8 +233,8 @@ def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
     k = float(kappa_guess)
     om = complex(omega_guess)
     vec = anchor
-    r1, _, s1 = _rho(k, om, config, vec)
-    r2, _, _ = _rho(k + 1e-4, s1.omega, config, s1.vector)
+    r1, s1 = _rho(k, om, config, vec)
+    r2, _ = _rho(k + 1e-4, s1.omega, config, s1.vector)
     direction = r2 - r1
     if abs(direction) < 1e-15:
         direction = 1.0 + 0j
@@ -227,7 +242,7 @@ def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
     om, vec = s1.omega, s1.vector
     best = None
     for _ in range(max_iter):
-        right, _, samp = _rho(k, om, config, vec)
+        right, samp = _rho(k, om, config, vec)
         om, vec = samp.omega, samp.vector
         u = (right * np.conj(direction)).real
         if best is None or abs(u) < best[0]:
@@ -235,8 +250,8 @@ def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
         if abs(u) < 1e-15:
             break
         h = 1e-7 * (1.0 + abs(k))
-        rp, _, _ = _rho(k + h, om, config, vec)
-        rm, _, _ = _rho(k - h, om, config, vec)
+        rp, _ = _rho(k + h, om, config, vec)
+        rm, _ = _rho(k - h, om, config, vec)
         du = ((rp - rm) * np.conj(direction)).real / (2.0 * h)
         if abs(du) < 1e-13:
             break
@@ -245,7 +260,7 @@ def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
         if abs(step) < 1e-13 * (1.0 + abs(k)):
             break
     _, k, _ = best
-    right, left, samp = _rho(k, om, config, vec)
+    _, samp = _rho(k, om, config, vec)
     if abs(k) < 1e-12:
         k = 0.0  # sub-noise offset from a symmetry-pinned point
         samp = omega_root(0.0, samp.omega, config, samp.vector)
@@ -277,19 +292,9 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     failure and propagates (ConvergenceError / DispersionSignError).
     """
     kappas = np.linspace(kappa_range[0], kappa_range[1], n_kappa)
-    best = None
-    for seed in branch_seeds(config, kappas[0], omega_window):
-        try:
-            samples = trace_branch(config, kappas, seed)
-        except (ConvergenceError, DispersionSignError):
-            continue
-        ims = np.array([abs(s.omega.imag) for s in samples])
-        i = int(np.argmin(ims))
-        if best is None or ims[i] < best[0]:
-            best = (ims[i], samples[i])
-    if best is None:
+    _, samp0 = _flattest_sample(config, kappas, omega_window)
+    if samp0 is None:
         return None
-    _, samp0 = best
     return polish_mode(config, samp0.kappa, samp0.omega, samp0.vector)
 
 
@@ -309,15 +314,22 @@ def polish_mode(config: LatticeConfig, kappa_guess, omega_guess,
     return mode
 
 
-def _min_im_on_grid(config, kappas, omega_seed):
-    """min |Im omega| along a branch on a kappa grid; inf if untraceable."""
-    try:
-        samples = trace_branch(config, kappas, omega_seed)
-    except (ConvergenceError, DispersionSignError):
-        return np.inf, None
-    ims = [abs(s.omega.imag) for s in samples]
-    i = int(np.argmin(ims))
-    return ims[i], samples[i]
+def _flattest_sample(config, kappas, omega_window, max_seeds=None):
+    """(min |Im omega|, its sample) on the branches from ``branch_seeds``.
+
+    Untraceable branches are skipped; (inf, None) if no branch traces.
+    """
+    best = (np.inf, None)
+    for seed in branch_seeds(config, kappas[0], omega_window)[:max_seeds]:
+        try:
+            samples = trace_branch(config, kappas, seed)
+        except (ConvergenceError, DispersionSignError):
+            continue
+        ims = [abs(s.omega.imag) for s in samples]
+        i = int(np.argmin(ims))
+        if ims[i] < best[0]:
+            best = (ims[i], samples[i])
+    return best
 
 
 def tune_structure(config: LatticeConfig, kappa_target_range,
@@ -349,25 +361,16 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
 
     # stage 1: coarse scan of the parameter
     svals = np.linspace(param_range[0], param_range[1], n_scan)
-    fvals = []
-    samps = []
-    for s in svals:
-        cfg_s = config.with_tunable(s)
-        seeds = branch_seeds(cfg_s, kappas[0], omega_window)
-        f_best, samp_best = np.inf, None
-        for seed in seeds[:3]:
-            f, samp = _min_im_on_grid(cfg_s, kappas, seed)
-            if f < f_best:
-                f_best, samp_best = f, samp
-        fvals.append(f_best)
-        samps.append(samp_best)
-    i = int(np.argmin(fvals))
-    if not np.isfinite(fvals[i]) or samps[i] is None:
+    scan = [_flattest_sample(config.with_tunable(s), kappas, omega_window, 3)
+            for s in svals]
+    i = int(np.argmin([f for f, _ in scan]))
+    f_min, samp0 = scan[i]
+    if not np.isfinite(f_min) or samp0 is None:
         raise ConvergenceError("tuner: no traceable branch in the scan interval")
 
     # stage 2: Gauss-Newton on (Re rho, Im rho)(kappa, s) from the scan minimum
-    k, s = float(samps[i].kappa), float(svals[i])
-    om, vec = samps[i].omega, samps[i].vector
+    k, s = float(samp0.kappa), float(svals[i])
+    om, vec = samp0.omega, samp0.vector
 
     def rho_of(kv, sv, omg, anc):
         cfg = config.with_tunable(sv)

@@ -27,6 +27,7 @@ from .lattice import (
     WOOD_ANOMALY,
     LatticeConfig,
     SpectralPoint,
+    _only_order_zero,
     evaluate_point,
     greens_function,
     grid_status,
@@ -126,6 +127,19 @@ def _solve_sites(a, rhs, strict):
     return psi.reshape(rhs.shape), sigma_min
 
 
+def _product(a, b):
+    """a * b, for arrays rounded row by row as the product of scalars.
+
+    numpy's vectorised complex multiply may fuse multiply-adds, so a batch
+    row could differ in its last bit from the single-point call's product.
+    """
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return a * b
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def order_amplitude(orders, config, weighted_field, p: int, side: int):
     """Order-p far-field amplitude of sum_j G(. - site_j) V_j psi_j.
 
@@ -137,17 +151,20 @@ def order_amplitude(orders, config, weighted_field, p: int, side: int):
     kappa_p, eta, tp = orders
     phase = np.exp(-1j * kappa_p[p] * config.xs
                    - np.multiply.outer(1j * side * eta.T[p], config.zs))
-    amp = tp.T[p] / config.period * np.sum(phase * weighted_field, axis=-1)
+    amp = _product(tp.T[p] / config.period,
+                   np.sum(phase * weighted_field, axis=-1))
     return complex(amp) if np.ndim(amp) == 0 else amp
 
 
 def _require_one_order(point, config):
-    """At a real point, far fields need exactly order 0 propagating."""
-    if np.imag(point.kappa) == 0 and np.imag(point.omega) == 0:
-        if not propagating_orders(point, config.period).only_order_zero:
-            raise NoPropagatingOrderError(
-                "need exactly order 0 propagating for far-field extraction"
-            )
+    """At real rows of a point, far fields need exactly order 0 propagating."""
+    omega = np.asarray(point.omega)
+    real = SpectralPoint(point.kappa, omega[np.imag(omega) == 0].real)
+    if np.imag(point.kappa) == 0 and real.omega.size and not all(
+            _only_order_zero(propagating_orders(real, config.period))):
+        raise NoPropagatingOrderError(
+            "need exactly order 0 propagating for far-field extraction"
+        )
 
 
 def _scatter(evaluation, config, strict):
@@ -264,18 +281,25 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
 
 def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
                        anchor: np.ndarray | None = None) -> CoefficientTriple:
-    """(eigval, eigval*R, eigval*T) at one spectral point.
+    """(eigval, eigval*R, eigval*T) at a spectral point.
 
     The eig and the unit-incidence solve share one evaluation of A.  Scaling
     by the eigenvalue after the solve is equivalent to scaling the source,
     by linearity, and avoids 0/0 at the mode.
+
+    ``point.omega`` may be an array of (complex) frequencies at one kappa:
+    each field is then an array, every row tracked from ``anchor``, checked
+    like a point if real and equal to a single-point call bit for bit.
     """
     evaluation = evaluate_point(point, config)
     evals, evecs = np.linalg.eig(evaluation[2])
-    ell = evals[_pick(evals, evecs, anchor)]
+    if evals.ndim == 1:
+        ell = evals[_pick(evals, evecs, anchor)]
+    else:
+        ell = np.array([e[_pick(e, v, anchor)] for e, v in zip(evals, evecs)])
     _require_one_order(point, config)
     _, refl, trans, _ = _scatter(evaluation, config, strict=False)
-    return CoefficientTriple(ell, ell * refl, ell * trans)
+    return CoefficientTriple(ell, _product(ell, refl), _product(ell, trans))
 
 
 def pendant_amplitudes(point, config, psi) -> np.ndarray:

@@ -12,7 +12,11 @@ from slabresonance import (
     find_real_mode,
     tune_structure,
 )
-from slabresonance.lattice import interaction_matrix, propagating_orders
+from slabresonance.lattice import (
+    interaction_matrix,
+    propagating_orders,
+    wood_distance,
+)
 from slabresonance.errors import WoodAnomalyError
 
 # Even with database=None, Hypothesis caches the literals it reads from the
@@ -124,14 +128,13 @@ def random_regime_point(rng, config, max_tries=200):
         omega = float(rng.uniform(0.3, 1.9))
         point = SpectralPoint(kappa, omega)
         try:
-            spec = propagating_orders(point, config.period)
+            propagating = propagating_orders(point, config.period)
         except WoodAnomalyError:
             continue
-        if not (spec.propagating[0] and np.sum(spec.propagating) == 1):
+        if not (propagating[0] and np.sum(propagating) == 1):
             continue
         # keep clear margins from the branch points and pendant poles
-        w = (omega / 2.0) ** 2 - np.sin(np.real(spec.kappa_p) / 2.0) ** 2
-        if min(np.min(np.abs(w)), np.min(np.abs(w - 1.0))) < 1e-3:
+        if wood_distance(point, config.period) < 1e-3:
             continue
         if any(abs(omega**2 - p.mu) < 0.05 for p in config.pendants):
             continue

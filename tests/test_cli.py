@@ -238,6 +238,28 @@ class TestAnalyze:
         assert run(["analyze", "--config", CASE1_SEED, "--mode", str(mode),
                     "--out", str(tmp_path / "a")]) == 2
 
+    def test_readme_coefficients_unchanged(self, tmp_path):
+        """The README analyze on the reference tuned config keeps its bits.
+
+        The manifest records provenance, not results, and ``theta`` is no
+        longer written; every other value must equal the reference's.
+        """
+        ref = REFERENCE / "analyze"
+        out = tmp_path / "a"
+        assert run(["analyze", "--config",
+                    str(REFERENCE / "tune" / "tuned_config.json"),
+                    "--kappa-range", "0.09:0.30", "--omega-range", "1.30:1.46",
+                    "--kappa-tilde", "0.01", "--out", str(out)]) == 0
+        got = json.loads((out / "coefficients.json").read_text())
+        want = json.loads((ref / "coefficients.json").read_text())
+        assert got.pop("manifest")["params"] == want.pop("manifest")["params"]
+        del want["theta"]
+        assert got == want
+        curve = "compare_ktilde_+0.010000.csv"
+        got_rows = data_rows((out / curve).read_text())
+        assert got_rows == data_rows((ref / curve).read_text())
+        assert len(got_rows) == 401
+
     def test_comparison_curves(self, analyzed):
         for csv in analyzed.glob("compare_ktilde_*.csv"):
             rows = [l for l in csv.read_text().splitlines()

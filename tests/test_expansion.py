@@ -10,13 +10,16 @@ from slabresonance import (
     verify_relations,
 )
 from slabresonance.expansion import (
+    ZERO_MAX_ITER,
+    ZERO_TOL,
     ExpansionCoefficients,
     _classify_linear,
     convexity_gap,
     sample_radius,
     triple_sampler,
 )
-from slabresonance.modes import GuidedMode
+from slabresonance.errors import ConvergenceError
+from slabresonance.modes import GuidedMode, _omega_newton
 from slabresonance.scattering import solve_scattering
 
 
@@ -46,6 +49,21 @@ class TestFitZeroCurve:
         coef, errors, _ = fit_zero_curve(f, synthetic_mode(), 3, 0.02)
         assert abs(coef[2] - 2.0) < 1e-6
 
+    def test_sampler_leaving_its_domain_is_a_convergence_error(self):
+        """A sampler that raises after the first step fails the fit cleanly.
+
+        Its first iterate leaves the window where it is defined, so the
+        Newton step cannot be evaluated: that is a ConvergenceError, which
+        the CLI reports as a numerical failure, not a raw ArithmeticError.
+        """
+        def f(kappa, omega):
+            if np.any(np.abs(np.asarray(omega) - 1.2) > 1e-3):
+                raise ArithmeticError("outside the sampler's window")
+            return (omega - 1.2) + 0.5 * (kappa - 0.1)
+
+        with pytest.raises(ConvergenceError, match="left the valid domain"):
+            fit_zero_curve(f, synthetic_mode(), 2, 0.02)
+
     def test_symmetric_config_even_curve(self, case2_config, case2_mode):
         f = triple_sampler(case2_config, case2_mode, "eigval")
         coef, errors, _ = fit_zero_curve(f, case2_mode, 2,
@@ -64,12 +82,12 @@ class TestFitZeroCurve:
 
     def test_zero_curve_even_in_case2(self, case2_config, case2_mode):
         """Roots at +-kt agree for the mirror-symmetric config."""
-        from slabresonance.expansion import _omega_zero
-
         f = triple_sampler(case2_config, case2_mode, "eigval")
         for kt in (0.012, 0.006 + 0.004j):
-            om_p = _omega_zero(f, case2_mode.kappa0 + kt, case2_mode.omega0)
-            om_m = _omega_zero(f, case2_mode.kappa0 - kt, case2_mode.omega0)
+            om_p, _ = _omega_newton(f, case2_mode.kappa0 + kt,
+                                    case2_mode.omega0, ZERO_TOL, ZERO_MAX_ITER)
+            om_m, _ = _omega_newton(f, case2_mode.kappa0 - kt,
+                                    case2_mode.omega0, ZERO_TOL, ZERO_MAX_ITER)
             assert abs(om_p - om_m) < 1e-9
 
 

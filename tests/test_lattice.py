@@ -71,16 +71,16 @@ class TestOrderWavenumber:
 
 class TestPropagatingOrders:
     def test_single_order_regime(self):
-        spec = propagating_orders(SpectralPoint(0.06, 0.98), 3)
-        assert list(spec.propagating) == [True, False, False]
+        mask = propagating_orders(SpectralPoint(0.06, 0.98), 3)
+        assert list(mask) == [True, False, False]
 
     def test_above_band_no_orders(self):
-        spec = propagating_orders(SpectralPoint(0.0, 3.0), 1)
-        assert not spec.propagating.any()
+        mask = propagating_orders(SpectralPoint(0.0, 3.0), 1)
+        assert not mask.any()
 
     def test_two_order_classification(self):
-        spec = propagating_orders(SpectralPoint(0.0, 1.0), 2)
-        assert list(spec.propagating) == [True, False]
+        mask = propagating_orders(SpectralPoint(0.0, 1.0), 2)
+        assert list(mask) == [True, False]
 
     def test_wood_guard(self):
         # omega = 2 sin(kappa/2) puts order 0 exactly at its branch point
@@ -95,10 +95,10 @@ class TestPropagatingOrders:
             point = SpectralPoint(float(rng.uniform(-0.5, 0.5)),
                                   float(rng.uniform(0.2, 1.9)))
             try:
-                spec = propagating_orders(point, n)
+                kappa_p, etas, _ = order_arrays(point.kappa, point.omega, n)
             except WoodAnomalyError:
                 continue
-            for kp, eta in zip(spec.kappa_p, spec.eta):
+            for kp, eta in zip(kappa_p, etas):
                 assert dispersion_residual(kp, point.omega, eta) < 1e-12
 
 

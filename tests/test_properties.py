@@ -12,7 +12,12 @@ import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from slabresonance import SpectralPoint, eigen_branch, solve_scattering
+from slabresonance import (
+    SpectralPoint,
+    coefficient_triple,
+    eigen_branch,
+    solve_scattering,
+)
 from slabresonance.errors import (
     BranchCollisionError,
     ConvergenceError,
@@ -243,3 +248,48 @@ def test_batched_eigen_branch_equals_single_calls(seed):
         return
     assert bits(got[0]) == bits(want[0])
     assert bits(got[1]) == bits(want[1])
+
+
+def per_row_triples(point, config, anchor):
+    """coefficient_triple at each row of ``point`` alone: its result or error."""
+    return [outcome(coefficient_triple, SpectralPoint(point.kappa, om), config,
+                    anchor) for om in point.omega]
+
+
+@examples(60)
+@given(SEEDS)
+def test_batched_coefficient_triple_equals_single_calls(seed):
+    """Complex rows at real or complex kappa, or real rows about a regime
+    point (where the order check runs) with one complex row and possibly a
+    Wood, above-band or pendant-pole row; no anchor or the eigenvector of a
+    nearby point.  A batch with a failing row raises a failing row's class."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng)
+    if rng.random() < 0.5:
+        kappa = complex(rng.uniform(-0.4, 0.4), rng.choice([0.0, 0.05]))
+        oms = rng.uniform(0.2, 2.8, 5) - 1j * rng.uniform(0.0, 0.2, 5)
+    else:
+        point = random_regime_point(rng, config)
+        kappa = point.kappa
+        oms = point.omega + np.append(rng.uniform(-0.02, 0.02, 4), 0j)
+        oms[-1] -= 0.01j
+        bad = [2.0 * abs(np.sin(kappa / 2.0)), 2.9]
+        bad += [np.sqrt(p.mu) for p in config.pendants]
+        if rng.random() < 0.3:
+            oms[rng.integers(0, 5)] = rng.choice(bad)
+    anchor = None
+    if rng.random() < 0.7:
+        near = SpectralPoint(kappa, oms[0] + complex(*rng.uniform(-0.01, 0.01, 2)))
+        anchor = outcome(eigen_branch, near, config)[1]
+        if isinstance(anchor, str):
+            reject()
+    point = SpectralPoint(kappa, oms)
+    rows = per_row_triples(point, config, anchor)
+    got = outcome(coefficient_triple, point, config, anchor)
+    failed = {row[0] for row in rows if isinstance(row, tuple)}
+    if failed:
+        assert isinstance(got, tuple) and got[0] in failed
+        return
+    for field in ("eigval", "refl", "trans"):
+        assert bits(getattr(got, field)) == bits(
+            [getattr(row, field) for row in rows])
