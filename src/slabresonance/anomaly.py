@@ -17,9 +17,14 @@ from .errors import ConvergenceError
 from .expansion import ExpansionCoefficients
 from .lattice import LatticeConfig, SpectralPoint
 from .modes import GuidedMode, omega_root
-from .scattering import field_enhancement, peak_field, solve_grid
+from .scattering import peak_field, solve_grid
 
 FANO_CONDITION_TOL = 1e-3
+# anomaly_window's half-width in units of the largest quadratic coefficient kt^2
+WINDOW_FACTOR = 20.0
+# enhancement_scaling: rows per zoom level, and levels per kt
+ZOOM_POINTS = 81
+ZOOM_LEVELS = 3
 
 
 def formula_case1(coeffs: ExpansionCoefficients, kappa: float, omega) -> np.ndarray:
@@ -79,13 +84,12 @@ def peak_dip_locations(coeffs: ExpansionCoefficients, kappa: float):
     return float(omega_peak), float(omega_dip)
 
 
-def anomaly_window(coeffs: ExpansionCoefficients, kappa: float,
-                   width_factor: float = 20.0):
+def anomaly_window(coeffs: ExpansionCoefficients, kappa: float):
     """Frequency window centered on the moving anomaly, width ~ kt^2."""
     c = coeffs
     kt = kappa - c.kappa0
     center = c.omega0 - c.l1.real * kt
-    half = width_factor * max(abs(c.l2), abs(c.r2), abs(c.t2)) * kt * kt
+    half = WINDOW_FACTOR * max(abs(c.l2), abs(c.r2), abs(c.t2)) * kt * kt
     return center - half, center + half
 
 
@@ -160,45 +164,35 @@ def phase_curve(t_abs, raw) -> np.ndarray:
     return np.concatenate([[raw[0]], raw[0] + np.cumsum(wrapped)])
 
 
-def enhancement_scaling(config: LatticeConfig, mode: GuidedMode,
-                        kappa_list, n_grid: int = 81):
+def enhancement_scaling(config: LatticeConfig, mode: GuidedMode, kappa_list):
     """log-log slope of the peak field enhancement against |kt|.
 
-    For each kt the enhancement is maximized over a frequency window around
-    the complex resonance (center at its real part, width from its imaginary
-    part).  Raises on non-monotone peak data, which indicates a window
+    For each kt the enhancement is maximized by zooming a ``solve_grid`` of
+    ZOOM_POINTS frequencies: the first level spans a window around the
+    complex resonance (center at its real part, half-width 8 |Im omega|),
+    each later one the grid steps on either side of the previous level's
+    best row.  The peak is the largest value any of the ZOOM_LEVELS levels
+    sampled.  Raises on non-monotone peak data, which indicates a window
     problem rather than a scaling violation.
     """
     peaks = []
     om_seed = complex(mode.omega0)
     anchor = mode.nullvector
     for kt in kappa_list:
-        samp = omega_root(mode.kappa0 + kt, om_seed, config, anchor)
-        center = samp.omega.real
+        kappa = mode.kappa0 + kt
+        samp = omega_root(kappa, om_seed, config, anchor)
         width = max(abs(samp.omega.imag), 1e-12)
-        grid = center + np.linspace(-8.0 * width, 8.0 * width, n_grid)
-        sol = solve_grid(mode.kappa0 + kt, grid, config)
-        sol.raise_skipped()
-        vals = peak_field(SpectralPoint(mode.kappa0 + kt, grid), config, sol.psi)
-        i = int(np.argmax(vals))
-        # golden-section sharpen around the grid peak
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, n_grid - 1)]
-        golden = 0.5 * (3.0 - np.sqrt(5.0))
-        a, b = lo, hi
-        for _ in range(40):
-            x1 = a + golden * (b - a)
-            x2 = b - golden * (b - a)
-            f1 = field_enhancement(SpectralPoint(mode.kappa0 + kt, x1), config)
-            f2 = field_enhancement(SpectralPoint(mode.kappa0 + kt, x2), config)
-            if f1 < f2:
-                a = x1
-            else:
-                b = x2
-        best = field_enhancement(
-            SpectralPoint(mode.kappa0 + kt, 0.5 * (a + b)), config
-        )
-        peaks.append(max(best, vals[i]))
+        grid = samp.omega.real + np.linspace(-8.0 * width, 8.0 * width, ZOOM_POINTS)
+        peak = -np.inf
+        for _ in range(ZOOM_LEVELS):
+            sol = solve_grid(kappa, grid, config)
+            sol.raise_skipped()
+            vals = peak_field(SpectralPoint(kappa, grid), config, sol.psi)
+            i = int(np.argmax(vals))
+            peak = max(peak, vals[i])
+            grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, ZOOM_POINTS - 1)],
+                               ZOOM_POINTS)
+        peaks.append(peak)
     kts = np.abs(np.asarray(kappa_list, dtype=float))
     order = np.argsort(kts)
     sorted_peaks = np.asarray(peaks)[order]

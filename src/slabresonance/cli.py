@@ -70,7 +70,7 @@ def _manifest(args, command: str) -> dict:
     }
 
 
-def _write_csv(path: Path, manifest: dict, header: str, rows, comments=()):
+def _write_csv(path: Path, manifest: dict, header: str, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
@@ -80,8 +80,6 @@ def _write_csv(path: Path, manifest: dict, header: str, rows, comments=()):
                 fh.write(row + "\n")  # warning/comment row
             else:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
-        for line in comments:
-            fh.write(line + "\n")
 
 
 def _write_json(path: Path, manifest: dict, payload: dict):
@@ -140,11 +138,8 @@ def cmd_transmission(args) -> int:
     return EXIT_OK
 
 
-def _mode_payload(mode: GuidedMode, report: dict | None = None) -> dict:
-    payload = mode.to_dict()
-    if report is not None:
-        payload["verification"] = report
-    return payload
+def _mode_payload(mode: GuidedMode, report: dict) -> dict:
+    return {**mode.to_dict(), "verification": report}
 
 
 def cmd_find_mode(args) -> int:

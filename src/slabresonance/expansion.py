@@ -28,6 +28,9 @@ ZERO_TOL = 5e-13
 ZERO_MAX_ITER = 60
 MAX_RADIUS = 0.02
 EPS = np.finfo(float).eps
+# offsets of the two-sided background probes in omega and in kappa: a
+# half-step ladder for _richardson
+PROBE_STEPS = tuple(0.004 / 2**i for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -179,11 +182,10 @@ def _richardson(values):
     return est, float(err)
 
 
-def _transmission_probes(config, mode, delta0=0.004, n=4):
-    """Two-sided |T| and |R| at omega0 +- delta ladders (kappa fixed)."""
+def _transmission_probes(config, mode):
+    """Two-sided |T| and |R| at omega0 +- PROBE_STEPS (kappa fixed)."""
     tsym, rsym, tslope = [], [], []
-    for i in range(n):
-        d = delta0 / 2**i
+    for d in PROBE_STEPS:
         sp = solve_scattering(SpectralPoint(mode.kappa0, mode.omega0 + d), config)
         sm = solve_scattering(SpectralPoint(mode.kappa0, mode.omega0 - d), config)
         tp, tm = abs(sp.transmission), abs(sm.transmission)
@@ -214,8 +216,7 @@ def extract_background(mode: GuidedMode, config: LatticeConfig,
         if any(v is None for v in (l1, l2, t2)):
             raise ValueError("case-1 background needs l1, l2, t2")
         kslope = []
-        for i in range(4):
-            d = 0.004 / 2**i
+        for d in PROBE_STEPS:
             sp = solve_scattering(SpectralPoint(mode.kappa0 + d, mode.omega0), config)
             sm = solve_scattering(SpectralPoint(mode.kappa0 - d, mode.omega0), config)
             kslope.append((abs(sp.transmission) - abs(sm.transmission)) / (2.0 * d))

@@ -27,11 +27,19 @@ from .lattice import (
     interaction_matrix,
     order_arrays,
 )
-from .scattering import eigen_branch, order_amplitude, scattered_field_at
+from .scattering import eigen_branch, order_amplitude
 
 IM_OMEGA_TOL = 1e-9
 ROOT_TOL = 1e-10
 RADIATING_TOL = 1e-8
+# real-omega grid points on which branch_seeds looks for minima
+SEED_GRID = 120
+POLISH_MAX_ITER = 40
+# tune_structure: parameter values scanned, kappa points traced per value
+TUNE_SCAN = 13
+TUNE_KAPPAS = 60
+# decay_profile's rows, counted above the topmost defect
+DECAY_ROWS = range(5, 21)
 
 
 @dataclass(frozen=True)
@@ -184,18 +192,18 @@ def _smallest_eig_moduli(config, kappa, oms):
     return np.min(np.abs(np.linalg.eigvals(a)), axis=-1)
 
 
-def branch_seeds(config: LatticeConfig, kappa, omega_window, n_grid=120):
+def branch_seeds(config: LatticeConfig, kappa, omega_window):
     """Candidate omega roots at fixed kappa: minima of the smallest |eig|.
 
-    The local minima below 0.6 of min |eig A| on an ``n_grid``-point omega
+    The local minima below 0.6 of min |eig A| on a SEED_GRID-point omega
     grid, smallest first.  The grid is evaluated as one batch.
     """
     lo, hi = omega_window
-    oms = np.linspace(lo, hi, n_grid)
+    oms = np.linspace(lo, hi, SEED_GRID)
     vals = _smallest_eig_moduli(config, kappa, oms)
     minima = [
         i
-        for i in range(1, n_grid - 1)
+        for i in range(1, SEED_GRID - 1)
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 0.6
     ]
     return [oms[i] for i in sorted(minima, key=lambda i: vals[i])]
@@ -223,7 +231,7 @@ def _rho(kappa, om_guess, config, anchor):
 
 
 def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
-                      anchor=None, max_iter=40):
+                      anchor=None):
     """1D Newton in kappa on the null field's radiating amplitude.
 
     Near a real point the amplitude crosses zero transversally along kappa;
@@ -241,7 +249,7 @@ def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
     direction /= abs(direction)
     om, vec = s1.omega, s1.vector
     best = None
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         right, samp = _rho(k, om, config, vec)
         om, vec = samp.omega, samp.vector
         u = (right * np.conj(direction)).real
@@ -333,16 +341,17 @@ def _flattest_sample(config, kappas, omega_window, max_seeds=None):
 
 
 def tune_structure(config: LatticeConfig, kappa_target_range,
-                   omega_window, param_range=None, n_scan: int = 13,
-                   n_kappa: int = 60):
+                   omega_window, param_range=None):
     """Drive the tunable parameter until a real point appears.
 
-    Two stages.  Stage 1 scans the parameter on ``n_scan`` points and picks
+    Two stages.  Stage 1 scans the parameter on TUNE_SCAN points and picks
     the one minimizing s -> min_kappa |Im omega(kappa; s)| (the minimum
     touches zero quadratically, so a sign-based bisection does not apply).
     Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
     null field's complex order-0 amplitude over (kappa, s), which converges
-    to machine precision.  Returns (tuned_config, GuidedMode).
+    to machine precision.  The result is polished by ``polish_mode``; a
+    point it does not accept raises ConvergenceError.  Returns
+    (tuned_config, GuidedMode).
     """
     if config.tunable is None:
         raise ConvergenceError("tune_structure needs config.tunable")
@@ -351,16 +360,16 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
         span = 0.5 * (1.0 + abs(s0))
         param_range = (s0 - span, s0 + span)
 
-    kappas = np.linspace(kappa_target_range[0], kappa_target_range[1], n_kappa)
+    kappas = np.linspace(kappa_target_range[0], kappa_target_range[1], TUNE_KAPPAS)
 
     # a mode may already exist at the current parameter (tuning is a no-op)
     existing = find_real_mode(config, kappa_target_range, omega_window,
-                              n_kappa=n_kappa)
+                              n_kappa=TUNE_KAPPAS)
     if existing is not None:
         return config, existing
 
     # stage 1: coarse scan of the parameter
-    svals = np.linspace(param_range[0], param_range[1], n_scan)
+    svals = np.linspace(param_range[0], param_range[1], TUNE_SCAN)
     scan = [_flattest_sample(config.with_tunable(s), kappas, omega_window, 3)
             for s in svals]
     i = int(np.argmin([f for f, _ in scan]))
@@ -405,40 +414,41 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
         )
 
     tuned = config.with_tunable(s)
-    kappa0, samp = polish_real_point(tuned, k, om, vec)
-    if abs(samp.omega.imag) > IM_OMEGA_TOL:
+    mode = polish_mode(tuned, k, om, vec)
+    if mode is None:
         raise ConvergenceError(
-            f"tuner: polished point keeps Im omega = {samp.omega.imag:.2e}"
+            "tuner: polished point keeps Im omega or a radiating null field"
         )
-    mode = _mode_from_sample(kappa0, samp, tuned)
     return tuned, mode
 
 
-def decay_profile(mode: GuidedMode, config: LatticeConfig, n_lo=5, n_hi=20):
-    """Null-field amplitude per row n and the slowest active decay rate."""
+def decay_profile(mode: GuidedMode, config: LatticeConfig):
+    """Null-field amplitude per row n and the slowest active decay rate.
+
+    The rows n sampled, DECAY_ROWS above the topmost defect, see only the
+    transmitted-side orders, so the scattered field there is
+    sum_p amp_p exp(i kappa_p m + i eta_p n) with amp_p the order amplitudes;
+    each row's value is its largest modulus over the cells m of one period.
+    """
     orders = order_arrays(mode.kappa0, mode.omega0, config.period)
-    eta = orders[1]
+    kappa_p, eta, _ = orders
     weighted = effective_potential(mode.omega0, config) * mode.nullvector
     # per-order amplitudes of the null field on the transmitted side
     amps = np.array([
         order_amplitude(orders, config, weighted, p, +1)
         for p in range(config.period)
     ])
-    rates = np.array([eta[p].imag for p in range(config.period)])
+    rates = eta.imag
     # evanescent orders carrying a nonnegligible share of the null field
     active = (np.abs(amps) > 1e-9 * max(np.max(np.abs(amps)), 1e-300)) & (
         rates > 1e-9
     )
     slow_rate = float(np.min(rates[active])) if np.any(active) else np.nan
 
-    ns = np.arange(n_lo, n_hi + 1) + int(np.max(config.zs))
-    vals = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        vals[i] = max(
-            abs(scattered_field_at(orders, config, weighted, m, int(n)))
-            for m in range(config.period)
-        )
-    return ns, vals, slow_rate
+    ns = np.array(DECAY_ROWS) + int(np.max(config.zs))
+    cells = np.exp(1j * np.outer(kappa_p, np.arange(config.period)))
+    field = (np.exp(1j * np.outer(ns, eta)) * amps) @ cells
+    return ns, np.abs(field).max(axis=1), slow_rate
 
 
 def verify_mode(mode: GuidedMode, config: LatticeConfig) -> dict:

@@ -29,7 +29,6 @@ from .lattice import (
     SpectralPoint,
     _only_order_zero,
     evaluate_point,
-    greens_function,
     grid_status,
     interaction_matrix,
     propagating_orders,
@@ -328,17 +327,3 @@ def field_enhancement(point: SpectralPoint, config: LatticeConfig) -> float:
     """
     sol = solve_scattering(point, config, strict=False)
     return float(peak_field(point, config, sol.psi))
-
-
-def scattered_field_at(orders, config, weighted, m: int, n: int) -> complex:
-    """Scattered field at an arbitrary lattice site.
-
-    ``orders`` is the ``order_arrays`` triple at the point and ``weighted``
-    the site field times V_eff.
-    """
-    val = 0j
-    for j in range(len(config.defects)):
-        val += greens_function(
-            orders, config.period, m - int(config.xs[j]), n - int(config.zs[j])
-        ) * weighted[j]
-    return complex(val)

@@ -67,6 +67,15 @@ def case1_tuned(case1_seed_config):
     )
 
 
+@pytest.fixture(params=["case2", "case1"])
+def mode_case(request):
+    """(config, mode) of the standing case2 mode, then of the tuned case1 one."""
+    if request.param == "case1":
+        return request.getfixturevalue("case1_tuned")
+    return (request.getfixturevalue("case2_config"),
+            request.getfixturevalue("case2_mode"))
+
+
 @pytest.fixture(scope="session")
 def coeffs_case2(case2_config, case2_mode):
     return extract_coefficients(case2_config, case2_mode)

@@ -4,6 +4,7 @@ import pytest
 from slabresonance import (
     Defect,
     LatticeConfig,
+    SpectralPoint,
     enhancement_scaling,
     fano_reduce,
     fano_shape,
@@ -18,6 +19,8 @@ from slabresonance.anomaly import (
     model_transmission,
 )
 from slabresonance.expansion import ExpansionCoefficients
+from slabresonance.modes import omega_root
+from slabresonance.scattering import peak_field, solve_grid
 
 
 def synthetic_coeffs(case=2, **kw):
@@ -194,6 +197,19 @@ class TestEnhancement:
         s2, _ = enhancement_scaling(case2_config, case2_mode,
                                     [0.08, 0.04, 0.02])
         assert abs(s1 - s2) < 0.05
+
+    def test_peaks_reach_fine_grid_maximum(self, mode_case):
+        """Each peak is at least the maximum of a 2001-point grid on its window."""
+        config, mode = mode_case
+        _, peaks = enhancement_scaling(config, mode, [0.04, 0.02, 0.01, 0.005])
+        for kt, peak in peaks:
+            kappa = mode.kappa0 + kt
+            samp = omega_root(kappa, complex(mode.omega0), config, mode.nullvector)
+            width = abs(samp.omega.imag)
+            grid = samp.omega.real + np.linspace(-8.0 * width, 8.0 * width, 2001)
+            sol = solve_grid(kappa, grid, config)
+            fine = np.max(peak_field(SpectralPoint(kappa, grid), config, sol.psi))
+            assert peak >= (1.0 - 1e-12) * fine, f"kt={kt}: {peak} < {fine}"
 
 
 def test_model_dispatch(coeffs_case1, coeffs_case2):

@@ -183,6 +183,15 @@ class TestModeCommands:
                     "--grid", "80", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_tune_radiating_point_exit_3(self, tmp_path, monkeypatch):
+        """A tuned point find-mode would not accept writes no mode.json."""
+        monkeypatch.setattr(modes, "RADIATING_TOL", 0.0)
+        code = run(["tune", "--config", CASE1_SEED, "--kappa-range", "0.08:0.32",
+                    "--omega-range", "1.30:1.46", "--param-range", "0.05:0.8",
+                    "--out", str(tmp_path)])
+        assert code == 3
+        assert not (tmp_path / "mode.json").exists()
+
     def test_invalid_config_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"period": 0, "defects": []}')

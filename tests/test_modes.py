@@ -17,7 +17,8 @@ from slabresonance.errors import (
     ConvergenceError,
     PendantPoleError,
 )
-from slabresonance.modes import branch_seeds
+from slabresonance.lattice import effective_potential, greens_function, order_arrays
+from slabresonance.modes import branch_seeds, decay_profile
 
 from conftest import ambiguous_anchor
 
@@ -110,6 +111,20 @@ class TestVerifyMode:
                           0.0, 0.0)
         report = verify_mode(fake, case2_config)
         assert not report["checks"]["radiating"]
+
+    def test_decay_profile_equals_site_sum(self, mode_case):
+        """The closed-form rows equal the Green's-function sum over the sites."""
+        config, mode = mode_case
+        ns, vals, _ = decay_profile(mode, config)
+        orders = order_arrays(mode.kappa0, mode.omega0, config.period)
+        weighted = effective_potential(mode.omega0, config) * mode.nullvector
+        site_sum = [
+            max(abs(sum(greens_function(orders, config.period, m - d.x, n - d.z)
+                        * weighted[j] for j, d in enumerate(config.defects)))
+                for m in range(config.period))
+            for n in ns
+        ]
+        assert np.max(np.abs(vals - site_sum)) <= 1e-12 * np.max(vals)
 
 
 class TestTuner:

@@ -30,6 +30,7 @@ from slabresonance.errors import (
 from slabresonance.lattice import OK, interaction_matrix
 from slabresonance.modes import (
     IM_OMEGA_TOL,
+    SEED_GRID,
     _smallest_eig_moduli,
     branch_seeds,
     trace_branch,
@@ -176,15 +177,15 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def per_point_seeds(config, kappa, window, n_grid=120):
+def per_point_seeds(config, kappa, window):
     """branch_seeds as a loop of single-point eigvals: (seeds, min |eig|)."""
-    oms = np.linspace(window[0], window[1], n_grid)
+    oms = np.linspace(window[0], window[1], SEED_GRID)
     vals = np.array([
         np.min(np.abs(np.linalg.eigvals(
             interaction_matrix(SpectralPoint(kappa, om), config))))
         for om in oms
     ])
-    minima = [i for i in range(1, n_grid - 1)
+    minima = [i for i in range(1, SEED_GRID - 1)
               if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and vals[i] < 0.6]
     seeds = [oms[i] for i in sorted(minima, key=lambda i: vals[i])]
     return seeds, vals
@@ -211,7 +212,7 @@ def test_branch_seeds_equal_per_point_loop(seed):
         assert got == want
         return
     assert got == want[0]
-    oms = np.linspace(window[0], window[1], 120)
+    oms = np.linspace(window[0], window[1], SEED_GRID)
     assert bits(_smallest_eig_moduli(config, kappa, oms)) == bits(want[1])
 
 
