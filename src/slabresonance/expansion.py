@@ -21,7 +21,8 @@ from .errors import ConvergenceError
 from .lattice import LatticeConfig, SpectralPoint, wood_distance
 from .modes import GuidedMode, _omega_newton
 # eigen_branch: perfbench/selftest.py checks that its tracer wraps this binding
-from .scattering import coefficient_triple, eigen_branch, solve_scattering  # noqa: F401
+from .scattering import eigen_branch  # noqa: F401
+from .scattering import coefficient_triple, solve_scattering, tracked_eigenvalue
 
 N_ANGLES = 6
 ZERO_TOL = 5e-13
@@ -90,11 +91,14 @@ def triple_sampler(config: LatticeConfig, mode: GuidedMode, part: str):
 
     ``part`` names the ``CoefficientTriple`` field: ``"eigval"``, ``"refl"``
     or ``"trans"``.  f takes an array of frequencies at one kappa, makes one
-    ``coefficient_triple`` call anchored at the mode null vector and returns
-    one value per row.
+    call anchored at the mode null vector and returns one value per row:
+    ``tracked_eigenvalue`` for the eigenvalue, which needs no scattering
+    solve, else ``coefficient_triple``.
     """
     def f(kappa, omega):
         point = SpectralPoint(kappa, omega)
+        if part == "eigval":
+            return tracked_eigenvalue(point, config, mode.nullvector)
         return getattr(coefficient_triple(point, config, mode.nullvector), part)
 
     return f

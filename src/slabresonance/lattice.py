@@ -247,9 +247,9 @@ def _only_order_zero(propagating):
     return propagating[..., 0] & (propagating.sum(axis=-1) == 1)
 
 
-def _hits_pole(denom, pendant: Pendant):
-    """True where omega^2 - mu = ``denom`` puts omega on the pendant's pole."""
-    return abs(denom) < PENDANT_POLE_TOL * (1.0 + abs(pendant.mu))
+def _hits_pole(denom, mu):
+    """True where omega^2 - mu = ``denom`` puts omega on a pendant's pole."""
+    return abs(denom) < PENDANT_POLE_TOL * (1.0 + abs(mu))
 
 
 def propagating_orders(point: SpectralPoint, period: int) -> np.ndarray:
@@ -292,7 +292,7 @@ def grid_status(kappa: float, omegas, config: LatticeConfig) -> np.ndarray:
     status = np.full(omegas.shape, OK, dtype=object)
     om2 = np.asarray(omegas, dtype=complex) ** 2
     for pn in config.pendants:
-        status[_hits_pole(om2 - pn.mu, pn)] = PENDANT_POLE
+        status[_hits_pole(om2 - pn.mu, pn.mu)] = PENDANT_POLE
     status[~_only_order_zero((w > 0) & (w < 1))] = NO_PROPAGATING_ORDER
     status[_near_branch_point(w)] = WOOD_ANOMALY
     return status
@@ -320,24 +320,40 @@ def greens_function(orders, period: int, m: int, n: int) -> complex:
     )
 
 
-def effective_potential(omega, config: LatticeConfig) -> np.ndarray:
+def effective_potential(omega, config: LatticeConfig,
+                        tunable_values=None) -> np.ndarray:
     """Diagonal V_eff(omega) on defect sites; pendants eliminated exactly.
 
     Each pendant contributes ``g^2 / (omega^2 - mu)`` to its host, which keeps
     V_eff real on the real axis (lossless) and rational in omega^2.  An array
     of frequencies gives the result a leading axis.
+
+    ``tunable_values``, one per entry of omega's leading axis, sets the
+    config's tunable parameter row by row: each row has the bits of
+    ``config.with_tunable(s)`` at its frequencies.
     """
     om2 = np.asarray(omega, dtype=complex) ** 2
     v = np.empty(om2.shape + config.ds.shape, dtype=complex)
     v[...] = config.ds
-    for pn in config.pendants:
+    pendants = config.pendants
+    if tunable_values is not None:
+        kind, idx, attr = config._tunable_parts()
+        values = np.reshape(np.asarray(tunable_values, dtype=float),
+                            (-1,) + (1,) * (om2.ndim - 1))
+        if kind == "defects":
+            v[..., idx] = values
+        else:
+            pendants = list(pendants)
+            pendants[idx] = replace(pendants[idx], **{attr: values})
+    for pn in pendants:
         denom = om2 - pn.mu
-        hit = _hits_pole(denom, pn)
+        hit = _hits_pole(denom, pn.mu)
         if np.count_nonzero(hit):
+            mu = np.broadcast_to(pn.mu, hit.shape)[hit].flat[0]
             raise PendantPoleError(
-                f"omega^2 = {om2[hit].flat[0]} hits pendant resonance mu = {pn.mu}"
+                f"omega^2 = {om2[hit].flat[0]} hits pendant resonance mu = {mu}"
             )
-        v.T[pn.host] += pn.g**2 / denom
+        v[..., pn.host] += pn.g**2 / denom
     return v
 
 
@@ -357,23 +373,28 @@ def greens_matrix(orders, config: LatticeConfig) -> np.ndarray:
     return np.einsum("...p,...pjk->...jk", tp, phases) / config.period
 
 
-def evaluate_point(point: SpectralPoint, config: LatticeConfig):
+def evaluate_point(point: SpectralPoint, config: LatticeConfig,
+                   tunable_values=None):
     """Everything a spectral point yields, each piece computed once.
 
     Returns ``(orders, v_eff, a)``: the order arrays of ``order_arrays``,
     the diagonal V_eff on the defect sites and A = I - G V_eff.  With an
     array of frequencies every piece but ``kappa_p`` has a leading axis.
+    ``tunable_values`` are as in ``effective_potential``; G does not depend
+    on them and is built once for all rows.
     """
     orders = order_arrays(point.kappa, point.omega, config.period)
     g = greens_matrix(orders, config)
-    v = effective_potential(point.omega, config)
+    v = effective_potential(point.omega, config, tunable_values)
     return orders, v, config._identity - g * v[..., None, :]
 
 
-def interaction_matrix(point: SpectralPoint, config: LatticeConfig) -> np.ndarray:
+def interaction_matrix(point: SpectralPoint, config: LatticeConfig,
+                       tunable_values=None) -> np.ndarray:
     """Finite interaction matrix A = I - G V_eff on the defect sites.
 
     The total field psi on defect sites solves ``A psi = phi_inc``; A is
     analytic in (kappa, omega) away from branch points and pendant poles.
+    ``tunable_values`` are as in ``effective_potential``.
     """
-    return evaluate_point(point, config)[2]
+    return evaluate_point(point, config, tunable_values)[2]

@@ -74,51 +74,112 @@ class GuidedMode:
 def _omega_newton(f, kappa, omega_guess, tol, max_iter):
     """Newton-solve f(kappa, omega) = 0 in complex omega at fixed kappa.
 
-    ``f`` takes one frequency or an array of them at one kappa and returns
-    one value per row.  Each step is one call on [omega, omega + h,
-    omega - h], h = 1e-6 * (1 + |omega|), for a central difference.  If it
-    raises, omega alone is evaluated again: an invalid guess raises its own
-    error; a step or a stencil out of the valid domain raises
-    ConvergenceError, as does a second iterate with larger |f| (a guess
-    outside the basin).  Returns (root, |f| at the root).
+    ``omega_guess`` is one guess or a 1-D array of independent rows, solved
+    together.  Each step is one call ``f(kappa, stencils, rows)`` on the
+    [omega, omega + h, omega - h] stencils, h = 1e-6 * (1 + |omega|), of the
+    rows still iterating, for a central difference; ``rows`` indexes them in
+    ``omega_guess``, and f returns one value per frequency.  A row leaves
+    when it converges or fails.  If the call raises, its rows are evaluated
+    one by one, and a row whose stencil raises is evaluated at omega alone:
+    an invalid guess fails with its own error; a step or a stencil out of the
+    valid domain fails with ConvergenceError, as does a second iterate with
+    larger |f| (a guess outside the basin).  Each row thus does what it would
+    do solved alone; the step arithmetic is per row, in scalars.
+
+    With one guess, f is called as ``f(kappa, omegas)``; the result is
+    (root, |f| at the root), or the row's error is raised.  With rows it is
+    (roots, |f| at the roots, errors), ``errors[i]`` being the exception that
+    stopped row i, or None.
     """
-    om = complex(omega_guess)
+    single = getattr(omega_guess, "ndim", 0) == 0  # np.ndim costs more
+    guesses = [omega_guess] if single else list(omega_guess)
+    om = list(map(complex, guesses))
+    size, first = [np.nan] * len(om), [np.nan] * len(om)
+    errors = [None] * len(om)
+    live = list(range(len(om)))
     for it in range(max_iter):
-        h = 1e-6 * (1.0 + abs(om))
+        if not live:
+            break
+        hs, stencils = [], []
+        for r in live:
+            w = om[r]
+            h = 1e-6 * (1.0 + abs(w))
+            hs.append(h)
+            stencils += (w, w + h, w - h)
+        stencils = np.array(stencils).reshape(len(live), 3)
+        alone = None  # the rows evaluated alone after the batch raised
         try:
-            val, fp, fm = f(kappa, np.array([om, om + h, om - h]))
+            vals = (f(kappa, stencils[0]),) if single else f(kappa, stencils, live)
         except (ArithmeticError, SlabError):
-            fp = None  # the stencil failed; its point alone decides why
+            vals, alone = _rows_alone(f, kappa, stencils, live, it, errors,
+                                      single)
+        still = []
+        for r, h, (val, fp, fm) in zip(live, hs, vals):
+            if alone is not None and errors[r] is not None:
+                continue  # omega itself raised
+            size[r] = current = abs(val)
+            if current < tol:
+                continue
+            if it == 0:
+                first[r] = current
+            elif it == 1 and current > first[r]:
+                errors[r] = ConvergenceError(
+                    f"omega Newton guess {guesses[r]} outside basin "
+                    f"(|f| {first[r]:.2e} -> {current:.2e})"
+                )
+                continue
+            if alone is not None and r in alone:
+                errors[r] = ConvergenceError(
+                    f"omega Newton derivative stencil left the valid domain "
+                    f"at omega={om[r]}"
+                )
+                continue
+            deriv = (fp - fm) / (2.0 * h)
+            if deriv == 0:
+                errors[r] = ConvergenceError("omega Newton: vanishing derivative")
+                continue
+            om[r] = om[r] - val / deriv
+            still.append(r)
+        live = still
+    for r in live:
+        errors[r] = ConvergenceError(
+            f"omega Newton did not converge in {max_iter} iterations "
+            f"(kappa={kappa}, last |f|={size[r]:.2e})"
+        )
+    if single:
+        if errors[0] is not None:
+            raise errors[0]
+        return om[0], size[0]
+    return np.array(om), np.array(size), errors
+
+
+def _rows_alone(f, kappa, stencils, rows, it, errors, single):
+    """The rows of a failed stencil batch evaluated one by one.
+
+    Returns (values, the rows whose stencil raised).  Such a row gets NaN in
+    the derivative columns and is evaluated at omega alone; if that raises
+    too, ``errors`` gets its error: its own at the first step, else
+    ConvergenceError.  A one-row batch goes straight to omega alone.
+    """
+    vals = np.full(stencils.shape, np.nan, dtype=complex)
+    no_stencil = set()
+    for n, r in enumerate(rows):
+        one = rows[n:n + 1]
+        if len(rows) > 1:
             try:
-                val = f(kappa, om)
+                vals[n] = f(kappa, stencils[n:n + 1], one)[0]
+                continue
             except (ArithmeticError, SlabError):
-                if it == 0:
-                    raise  # the guess itself is invalid: report the real cause
-                raise ConvergenceError(
-                    f"omega Newton left the valid domain at omega={om}"
-                ) from None
-        if abs(val) < tol:
-            return om, abs(val)
-        if it == 0:
-            first_abs = abs(val)
-        elif it == 1 and abs(val) > first_abs:
-            raise ConvergenceError(
-                f"omega Newton guess {omega_guess} outside basin "
-                f"(|f| {first_abs:.2e} -> {abs(val):.2e})"
-            )
-        if fp is None:
-            raise ConvergenceError(
-                f"omega Newton derivative stencil left the valid domain at "
-                f"omega={om}"
-            )
-        deriv = (fp - fm) / (2.0 * h)
-        if deriv == 0:
-            raise ConvergenceError("omega Newton: vanishing derivative")
-        om = om - val / deriv
-    raise ConvergenceError(
-        f"omega Newton did not converge in {max_iter} iterations "
-        f"(kappa={kappa}, last |f|={abs(val):.2e})"
-    )
+                pass
+        no_stencil.add(r)
+        try:
+            vals[n, 0] = (f(kappa, stencils[n, 0]) if single
+                          else f(kappa, stencils[n:n + 1, 0], one)[0])
+        except (ArithmeticError, SlabError) as exc:
+            # an invalid guess reports its real cause
+            errors[r] = exc if it == 0 else ConvergenceError(
+                f"omega Newton left the valid domain at omega={stencils[n, 0]}")
+    return vals, no_stencil
 
 
 def omega_root(kappa, omega_guess, config: LatticeConfig,
@@ -300,7 +361,7 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     failure and propagates (ConvergenceError / DispersionSignError).
     """
     kappas = np.linspace(kappa_range[0], kappa_range[1], n_kappa)
-    _, samp0 = _flattest_sample(config, kappas, omega_window)
+    _, samp0 = _flattest_sample([config], kappas, omega_window)[0]
     if samp0 is None:
         return None
     return polish_mode(config, samp0.kappa, samp0.omega, samp0.vector)
@@ -322,22 +383,108 @@ def polish_mode(config: LatticeConfig, kappa_guess, omega_guess,
     return mode
 
 
-def _flattest_sample(config, kappas, omega_window, max_seeds=None):
-    """(min |Im omega|, its sample) on the branches from ``branch_seeds``.
+def _flattest_sample(configs, kappas, omega_window, max_seeds=None):
+    """(min |Im omega|, its sample) per config, over its traced branches.
 
-    Untraceable branches are skipped; (inf, None) if no branch traces.
+    The configs differ at most in the value of their tunable parameter.  Each
+    config's branches start from its first ``max_seeds`` ``branch_seeds`` at
+    kappas[0], and all of them are traced together by ``_lockstep``, each
+    with the bits of ``trace_branch`` on its config and seed.  A branch that
+    raises ConvergenceError or DispersionSignError is skipped; a config with
+    no traceable branch gets (inf, None).  Any other error propagates: the
+    first one in config and seed order, as if the branches were traced one
+    after another.
     """
-    best = (np.inf, None)
-    for seed in branch_seeds(config, kappas[0], omega_window)[:max_seeds]:
+    seeds, stop = [], None
+    for config in configs:
         try:
-            samples = trace_branch(config, kappas, seed)
-        except (ConvergenceError, DispersionSignError):
+            seeds.append(branch_seeds(config, kappas[0], omega_window)[:max_seeds])
+        except (ArithmeticError, SlabError) as exc:
+            stop = exc
+            break
+    owners = [c for c, found in enumerate(seeds) for _ in found]
+    traces = _lockstep(configs, owners, kappas,
+                       [seed for found in seeds for seed in found])
+    best = [(np.inf, None)] * len(configs)
+    for c, samples in zip(owners, traces):
+        if isinstance(samples, (ConvergenceError, DispersionSignError)):
             continue
+        if isinstance(samples, Exception):
+            raise samples
         ims = [abs(s.omega.imag) for s in samples]
         i = int(np.argmin(ims))
-        if ims[i] < best[0]:
-            best = (ims[i], samples[i])
+        if ims[i] < best[c][0]:
+            best[c] = (ims[i], samples[i])
+    if stop is not None:
+        raise stop
     return best
+
+
+def _lockstep(configs, owners, kappas, seeds):
+    """``trace_branch(configs[owners[t]], kappas, seeds[t])`` for every t.
+
+    All traces advance together, one kappa at a time: the ``_omega_newton``
+    rows of a step are every live trace, evaluated by one ``eigen_branch``
+    call per Newton step with the tunable parameter as a row axis.  A trace
+    whose row fails re-runs that kappa with ``_root_with_halving`` from the
+    same warm start, as ``trace_branch`` does.  Returns, per trace, its
+    samples or the error that stopped it.  A lone trace gains nothing from
+    the lock step, so it is traced by ``trace_branch`` itself, which costs
+    less per step.
+    """
+    if len(seeds) == 1:
+        try:
+            return [trace_branch(configs[owners[0]], kappas, seeds[0])]
+        except (ArithmeticError, SlabError) as exc:
+            return [exc]
+    base = configs[0]
+    values = None
+    if len(configs) > 1:
+        values = np.array([configs[c].tunable_value for c in owners])
+    out = [[] for _ in seeds]
+    # each live trace's warm start: omega and, once it has one, eigenvector
+    om = np.array(seeds, dtype=complex)
+    vecs = np.zeros((len(seeds), len(base.defects)), dtype=complex)
+    has_vec = np.zeros(len(seeds), dtype=bool)
+    live = np.arange(len(seeds))
+    k_prev = None
+    for k in kappas:
+        if not len(live):
+            break
+        newton_vecs, newton_has = vecs.copy(), has_vec.copy()
+
+        def branch(kappa, oms, rows):
+            t = live[rows]
+            # all rows of a call are anchored, or none (the first kappa)
+            anchors = newton_vecs[t] if newton_has[t[0]] else None
+            ell, newton_vecs[t] = eigen_branch(
+                SpectralPoint(kappa, oms.reshape(len(t), -1)), base, anchors,
+                None if values is None else values[t])
+            newton_has[t] = True
+            return ell.reshape(oms.shape)
+
+        # omega_root's tolerance and iteration limit
+        roots, residuals, errors = _omega_newton(branch, k, om[live], ROOT_TOL,
+                                                 50)
+        still = []
+        for n, t in enumerate(live):
+            if errors[n] is None and not roots[n].imag > IM_OMEGA_TOL:
+                samp = DispersionSample(k, roots[n], residuals[n],
+                                        newton_vecs[t].copy())
+            else:
+                try:
+                    samp = _root_with_halving(
+                        k_prev, om[t], vecs[t] if has_vec[t] else None, k,
+                        configs[owners[t]])
+                except (ArithmeticError, SlabError) as exc:
+                    out[t] = exc
+                    continue
+            out[t].append(samp)
+            om[t], vecs[t], has_vec[t] = samp.omega, samp.vector, True
+            still.append(t)
+        live = np.array(still, dtype=int)
+        k_prev = k
+    return out
 
 
 def tune_structure(config: LatticeConfig, kappa_target_range,
@@ -347,6 +494,10 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     Two stages.  Stage 1 scans the parameter on TUNE_SCAN points and picks
     the one minimizing s -> min_kappa |Im omega(kappa; s)| (the minimum
     touches zero quadratically, so a sign-based bisection does not apply).
+    One ``_flattest_sample`` call traces the first three branches of every
+    scan value in lock step on TUNE_KAPPAS points: each Newton step of all
+    of them is one ``eigen_branch`` call, with the parameter as a row axis,
+    and each trace keeps the bits it has when traced alone.
     Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
     null field's complex order-0 amplitude over (kappa, s), which converges
     to machine precision.  The result is polished by ``polish_mode``; a
@@ -370,8 +521,8 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
 
     # stage 1: coarse scan of the parameter
     svals = np.linspace(param_range[0], param_range[1], TUNE_SCAN)
-    scan = [_flattest_sample(config.with_tunable(s), kappas, omega_window, 3)
-            for s in svals]
+    scan = _flattest_sample([config.with_tunable(s) for s in svals], kappas,
+                            omega_window, 3)
     i = int(np.argmin([f for f, _ in scan]))
     f_min, samp0 = scan[i]
     if not np.isfinite(f_min) or samp0 is None:

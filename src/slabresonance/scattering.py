@@ -219,42 +219,78 @@ def solve_grid(kappa: float, omegas, config: LatticeConfig) -> GridSolution:
     return GridSolution(omegas, status, psi, refl, trans)
 
 
-def _pick(evals, evecs, anchor):
-    """Index of the tracked eigenpair among one matrix's ``evals``/``evecs``.
+def _modulus(z):
+    """|z| with the bits of the scalar ``abs`` (array ``np.abs`` may differ)."""
+    return np.hypot(np.real(z), np.imag(z))
 
-    Without an anchor, the eigenvalue of smallest modulus; with one, the
-    eigenvector of maximal overlap, where an ambiguous overlap (< 0.5) between
-    distinct eigenvalues raises BranchCollisionError.
+
+def _take(values, index):
+    """values[..., index] with one index per leading row."""
+    flat = values.reshape(-1, values.shape[-1])
+    return flat[np.arange(len(flat)), index.ravel()].reshape(index.shape)
+
+
+def _rowdot(a, b):
+    """a . b (no conjugation) per leading row, with the bits of a 1-D dot.
+
+    A stacked matmul reproduces the BLAS dot row by row; one pair of vectors
+    takes the dot itself, which costs less.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pick(evals, evecs, anchor):
+    """Index of the tracked eigenpair, per leading row of ``evals``/``evecs``.
+
+    Without an anchor, the eigenvalue of smallest modulus; with one (a vector
+    per row, or one vector for all rows), the eigenvector of maximal overlap,
+    where an ambiguous overlap (< 0.5) between distinct eigenvalues raises
+    BranchCollisionError for the first such row.
     """
     if anchor is None:
-        return int(np.argmin(np.abs(evals)))
-    overlaps = np.abs(anchor.conj() @ evecs)
-    order = np.argsort(-overlaps)
-    i = int(order[0])
-    if len(evals) > 1 and overlaps[i] ** 2 < 0.5:
-        j = int(order[1])
-        if abs(evals[i] - evals[j]) > 1e-10:
+        return np.abs(evals).argmin(axis=-1)
+    conj = anchor.conj()
+    if conj.ndim == 1:
+        overlaps = np.abs(conj @ evecs)
+    else:
+        overlaps = np.abs((conj[..., None, :] @ evecs)[..., 0, :])
+    order = (-overlaps).argsort(axis=-1)
+    i = order[..., 0][()]  # a scalar for one matrix, so indexing takes a view
+    # the smallest best squared overlap over the rows, in Python floats: on
+    # a few rows that costs less than numpy reductions (max(x^2) = max(x)^2)
+    squares = (overlaps * overlaps).reshape(-1, overlaps.shape[-1]).tolist()
+    if evals.shape[-1] > 1 and min(map(max, squares), default=1.0) < 0.5:
+        j = order[..., 1]
+        top = np.maximum.reduce(overlaps, axis=-1)
+        ambiguous = (top**2 < 0.5) & (
+            _modulus(_take(evals, i) - _take(evals, j)) > 1e-10)
+        if ambiguous.any():
+            r = np.unravel_index(np.argmax(ambiguous), ambiguous.shape)
             raise BranchCollisionError(
-                f"branch overlap {overlaps[i]**2:.3f} ambiguous "
-                f"between {evals[i]:.6g} and {evals[j]:.6g}"
+                f"branch overlap {top[r]**2:.3f} ambiguous "
+                f"between {evals[r][i[r]]:.6g} and {evals[r][j[r]]:.6g}"
             )
     return i
 
 
 def _gauged(vec, anchor):
-    """Unit eigenvector in a fixed phase gauge."""
+    """Unit eigenvector in a fixed phase gauge, per leading row of ``vec``."""
     if anchor is not None:
         # overlap-phase gauge: continuous along anchored continuation paths
         # (the largest-entry gauge jumps when two entries tie in magnitude)
-        phase = np.angle(anchor.conj() @ vec)
+        ref = _rowdot(anchor.conj(), vec)
     else:
-        phase = np.angle(vec[int(np.argmax(np.abs(vec)))])
-    vec = vec * np.exp(-1j * phase)
-    return vec / np.linalg.norm(vec)
+        ref = _take(vec, np.abs(vec).argmax(axis=-1))
+    vec = vec * np.exp(-1j * np.arctan2(ref.imag, ref.real))[..., None]
+    # the squared norm summed as np.linalg.norm sums it
+    re, im = vec.real, vec.imag
+    return vec / np.sqrt(_rowdot(re, re) + _rowdot(im, im))[..., None]
 
 
 def eigen_branch(point: SpectralPoint, config: LatticeConfig,
-                 anchor: np.ndarray | None = None):
+                 anchor: np.ndarray | None = None, tunable_values=None):
     """Eigenvalue of A on the tracked branch, with its unit eigenvector.
 
     Without an anchor, the eigenvalue of smallest modulus is returned.  With
@@ -263,19 +299,52 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     BranchCollisionError so the caller can refine the continuation path.
 
     ``point.omega`` may be an array of frequencies, complex ones too, at one
-    kappa.  Then A is built and eigendecomposed once for all rows: row 0 is
-    tracked from ``anchor``, every other row from row 0's eigenvector, and
-    the result is (array of row eigenvalues, row 0's vector).  Each row has
-    the bits of a single-point call with that anchor.
+    kappa.  Then A is built and eigendecomposed once for all rows.  A 1-D
+    array is one trace: row 0 is tracked from ``anchor``, every other row
+    from row 0's eigenvector, and the result is (array of row eigenvalues,
+    row 0's vector).  A 2-D array holds one trace per leading row, each with
+    its own row of ``anchor`` (or all without one) and, if given, its own
+    entry of ``tunable_values`` (see ``lattice.effective_potential``); the
+    result is (eigenvalues per trace and column, column 0's vector per
+    trace).  Each row has the bits of a single-point call with that anchor
+    and parameter value.
     """
-    evals, evecs = np.linalg.eig(interaction_matrix(point, config))
+    evals, evecs = np.linalg.eig(interaction_matrix(point, config,
+                                                    tunable_values))
     if evals.ndim == 1:
         i = _pick(evals, evecs, anchor)
         return evals[i], _gauged(evecs[:, i], anchor)
-    i = _pick(evals[0], evecs[0], anchor)
-    vec = _gauged(evecs[0][:, i], anchor)
-    picks = [i] + [_pick(e, v, vec) for e, v in zip(evals[1:], evecs[1:])]
-    return evals[np.arange(len(evals)), picks], vec
+    picks = np.empty(evals.shape[:-1], dtype=int)
+    picks[..., 0] = first = _pick(evals[..., 0, :], evecs[..., 0, :, :], anchor)
+    if evals.ndim == 2:  # one trace
+        vec = _gauged(evecs[0][:, first], anchor)
+        picks[1:] = _pick(evals[1:], evecs[1:], vec)
+    else:
+        vec = _gauged(evecs[np.arange(len(evals)), 0, :, first], anchor)
+        picks[:, 1:] = _pick(evals[:, 1:], evecs[:, 1:], vec[:, None, :])
+    return _take(evals, picks), vec
+
+
+def _tracked_eigenvalue(point, config, a, anchor):
+    """Eigenvalue of ``a`` at each row of ``point`` picked from ``anchor``.
+
+    The far-field order check of a real row follows the pick, so the error
+    a point raises is the one ``coefficient_triple`` raises there.
+    """
+    evals, evecs = np.linalg.eig(a)
+    ell = _take(evals, _pick(evals, evecs, anchor))[()]
+    _require_one_order(point, config)
+    return ell
+
+
+def tracked_eigenvalue(point: SpectralPoint, config: LatticeConfig,
+                       anchor: np.ndarray | None = None):
+    """The ``eigval`` member of ``coefficient_triple`` alone, with its bits.
+
+    Builds A and eigendecomposes it, with no scattering solve.
+    """
+    return _tracked_eigenvalue(point, config, interaction_matrix(point, config),
+                               anchor)
 
 
 def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
@@ -291,12 +360,7 @@ def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
     like a point if real and equal to a single-point call bit for bit.
     """
     evaluation = evaluate_point(point, config)
-    evals, evecs = np.linalg.eig(evaluation[2])
-    if evals.ndim == 1:
-        ell = evals[_pick(evals, evecs, anchor)]
-    else:
-        ell = np.array([e[_pick(e, v, anchor)] for e, v in zip(evals, evecs)])
-    _require_one_order(point, config)
+    ell = _tracked_eigenvalue(point, config, evaluation[2], anchor)
     _, refl, trans, _ = _scatter(evaluation, config, strict=False)
     return CoefficientTriple(ell, _product(ell, refl), _product(ell, trans))
 

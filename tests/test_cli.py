@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabresonance import modes
+from slabresonance import modes, scattering
 from slabresonance.cli import main
 from slabresonance.errors import ConvergenceError
 
@@ -14,6 +14,34 @@ CASE1_SEED = "configs/case1_seed.json"
 # README command outputs as written by an earlier version
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 README_CURVE = REFERENCE / "transmission" / "transmission_kappa_+0.020000.csv"
+README_TUNE = ["tune", "--config", CASE1_SEED, "--kappa-range", "0.08:0.32",
+               "--omega-range", "1.30:1.46", "--param-range", "0.05:0.8"]
+# Every value the README `tune` wrote while the tuner traced its scan one
+# parameter value at a time (reference/tune/ is from an older tuner, about
+# 1e-12 away).
+README_TUNED_CONFIG = {
+    "defects": [{"d": -3.0, "x": 0, "z": -1}, {"d": -0.9, "x": 0, "z": 0},
+                {"d": -3.0, "x": 0, "z": 1}, {"d": -0.12, "x": 1, "z": 0}],
+    "pendants": [{"g": 0.4123064997365217, "host": 3, "mu": 0.5}],
+    "period": 3,
+    "tunable": {"path": "pendants.0.g"},
+}
+README_TUNE_MODE = {
+    "kappa0": 0.19427725048477237,
+    "omega0": 1.384427227306776,
+    "radiating_component": 4.819793355081208e-16,
+    "residual": 3.292613396830223e-16,
+    "verification": {
+        "checks": {"decay": True, "eig": True, "im_omega": True,
+                   "radiating": True},
+        "decay_rate": 0.837961942765542,
+        "decay_rate_expected": 0.8304281292192532,
+        "eig_abs": 3.292613396830223e-16,
+        "im_omega": 0.0,
+        "passed": True,
+        "radiating_component": 5.611281603875703e-16,
+    },
+}
 
 
 def data_rows(text):
@@ -183,6 +211,22 @@ class TestModeCommands:
                     "--grid", "80", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_readme_tune_unchanged(self, readme_tune):
+        out, _ = readme_tune
+        got = json.loads((out / "mode.json").read_text())
+        assert got.pop("manifest")["command"] == "tune"
+        assert got == README_TUNE_MODE
+        assert json.loads((out / "tuned_config.json").read_text()) == (
+            README_TUNED_CONFIG)
+
+    def test_readme_tune_eigen_branch_calls(self, readme_tune):
+        """The scan values share one eigen_branch call per Newton step.
+
+        Tracing them one after another took 2,738 calls in the scan alone.
+        """
+        _, calls = readme_tune
+        assert calls <= 500
+
     def test_tune_radiating_point_exit_3(self, tmp_path, monkeypatch):
         """A tuned point find-mode would not accept writes no mode.json."""
         monkeypatch.setattr(modes, "RADIATING_TOL", 0.0)
@@ -199,6 +243,24 @@ class TestModeCommands:
                     "--kappa-range", "0:0.1", "--omega-range", "1:1.5",
                     "--out", str(tmp_path)])
         assert code == 4
+
+
+@pytest.fixture(scope="module")
+def readme_tune(tmp_path_factory):
+    """The README tune's output directory and its eigen_branch call count."""
+    out = tmp_path_factory.mktemp("tune")
+    eigen_branch = scattering.eigen_branch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigen_branch(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (scattering, modes):
+            patch.setattr(module, "eigen_branch", counted)
+        assert run(README_TUNE + ["--out", str(out)]) == 0
+    return out, len(calls)
 
 
 @pytest.fixture(scope="module")

@@ -295,3 +295,31 @@ def test_shipped_configs_match_fixtures():
 
     assert LatticeConfig.from_json("configs/case2_symmetric.json") == CASE2
     assert LatticeConfig.from_json("configs/case1_seed.json") == CASE1_SEED
+
+
+@pytest.mark.parametrize("attr", ["defects.1.d", "pendants.0.g", "pendants.0.mu"])
+def test_effective_potential_parameter_axis_equals_configs(attr):
+    """Row t of a parameter-axis call is the call on config.with_tunable(s_t),
+    bit for bit; a row on its own pendant pole raises as that config does."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(11)
+    config = replace(LatticeConfig(
+        3, (Defect(0, 0, -1.2), Defect(1, 1, 0.8), Defect(2, -1, 0.3)),
+        (Pendant(1, 0.5, 0.4),)), tunable=attr)
+    values = config.tunable_value + rng.uniform(-0.3, 0.3, 5)
+    omegas = rng.uniform(0.3, 2.0, (5, 3)) - 1j * rng.uniform(0.0, 0.1, (5, 3))
+    got = effective_potential(omegas, config, values)
+    for t, s in enumerate(values):
+        want = effective_potential(omegas[t], config.with_tunable(s))
+        assert got[t].tobytes() == want.tobytes()
+    # at equal values, the parameter axis changes nothing
+    same = effective_potential(omegas, config, [config.tunable_value] * 5)
+    assert same.tobytes() == effective_potential(omegas, config).tobytes()
+    if attr == "pendants.0.mu":
+        omegas[3, 1] = np.sqrt(values[3])
+        with pytest.raises(PendantPoleError) as batch:
+            effective_potential(omegas, config, values)
+        with pytest.raises(PendantPoleError) as alone:
+            effective_potential(omegas[3], config.with_tunable(values[3]))
+        assert str(batch.value) == str(alone.value)

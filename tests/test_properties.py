@@ -8,6 +8,8 @@ point with exactly order 0 propagating (``random_lossless_config`` and
 run free of files.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -18,9 +20,11 @@ from slabresonance import (
     eigen_branch,
     solve_scattering,
 )
+from slabresonance import modes
 from slabresonance.errors import (
     BranchCollisionError,
     ConvergenceError,
+    DispersionSignError,
     NearSingularError,
     NoPropagatingOrderError,
     PendantPoleError,
@@ -39,7 +43,7 @@ from slabresonance.scattering import SKIP_ERRORS, solve_grid
 
 from _oracles import strip_solve
 
-from conftest import random_lossless_config, random_regime_point
+from conftest import CASE1_SEED, random_lossless_config, random_regime_point
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -294,3 +298,125 @@ def test_batched_coefficient_triple_equals_single_calls(seed):
     for field in ("eigval", "refl", "trans"):
         assert bits(getattr(got, field)) == bits(
             [getattr(row, field) for row in rows])
+
+
+def solo_flattest(config, kappas, window, max_seeds):
+    """One config's (min |Im omega|, its sample), one trace after another."""
+    best = (np.inf, None)
+    for seed in branch_seeds(config, kappas[0], window)[:max_seeds]:
+        try:
+            samples = trace_branch(config, kappas, seed)
+        except (ConvergenceError, DispersionSignError):
+            continue
+        ims = [abs(s.omega.imag) for s in samples]
+        i = int(np.argmin(ims))
+        if ims[i] < best[0]:
+            best = (ims[i], samples[i])
+    return best
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert bits(g.kappa) == bits(w.kappa)
+        assert bits(g.omega) == bits(w.omega)
+        assert bits(g.residual) == bits(w.residual)
+        assert bits(g.vector) == bits(w.vector)
+
+
+@examples(20)
+@given(SEEDS)
+def test_lockstep_scan_equals_solo_traces(seed):
+    """The lock-step scan over a tunable defect d, pendant g or pendant mu
+    gives every scan value the per-trace result, or raises the error the
+    per-trace loop meets first."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng)
+    paths = [f"defects.{int(rng.integers(len(config.defects)))}.d"]
+    paths += [f"pendants.0.{attr}" for attr in ("g", "mu") if config.pendants]
+    config = replace(config, tunable=paths[int(rng.integers(len(paths)))])
+    svals = config.tunable_value + rng.uniform(-0.3, 0.3, int(rng.integers(2, 6)))
+    configs = [config.with_tunable(s) for s in svals]
+    k0 = float(rng.uniform(-0.4, 0.3))
+    kappas = np.linspace(k0, k0 + float(rng.uniform(0.05, 0.3)), 10)
+    window = (float(rng.uniform(0.2, 1.2)), float(rng.uniform(1.5, 2.8)))
+    max_seeds = [None, 3][int(rng.integers(2))]
+    want = []
+    for cfg in configs:
+        want.append(outcome(solo_flattest, cfg, kappas, window, max_seeds))
+        if isinstance(want[-1][0], type):
+            want = want[-1]
+            break
+    got = outcome(modes._flattest_sample, configs, kappas, window, max_seeds)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for (gf, gs), (wf, ws) in zip(got, want, strict=True):
+        assert bits(gf) == bits(wf)
+        assert (gs is None) == (ws is None)
+        if ws is not None:
+            assert_same_samples([gs], [ws])
+
+
+def assert_lockstep_equals_traces(configs, owners, kappas, seeds):
+    """Each lock-step trace is trace_branch on its config and seed."""
+    got = modes._lockstep(configs, owners, kappas, seeds)
+    for c, seed, trace in zip(owners, seeds, got, strict=True):
+        want = outcome(trace_branch, configs[c], kappas, seed)
+        if isinstance(want[0], type):
+            assert (type(trace), str(trace)) == want
+        else:
+            assert_same_samples(trace, want)
+    return got
+
+
+def halving_depths(monkeypatch):
+    """Record the depth of every _root_with_halving call."""
+    depths = []
+    solo = modes._root_with_halving
+
+    def recorded(k_prev, om, vec, k, config, depth=6):
+        depths.append(depth)
+        return solo(k_prev, om, vec, k, config, depth)
+
+    monkeypatch.setattr(modes, "_root_with_halving", recorded)
+    return depths
+
+
+def test_lockstep_row_that_halves(monkeypatch):
+    """A coarse kappa path where the first seed's trace needs halvings (the
+    other two fail at the first kappa), at two values of a defect d."""
+    config = replace(random_lossless_config(np.random.default_rng(5)),
+                     tunable="defects.0.d")
+    configs = [config, config.with_tunable(config.tunable_value + 1e-3)]
+    kappas = np.linspace(-0.4, 0.4, 4)
+    seeds = branch_seeds(config, kappas[0], (0.3, 2.5))[:3]
+    depths = halving_depths(monkeypatch)
+    got = assert_lockstep_equals_traces(configs, [0] * 3 + [1] * 3, kappas,
+                                        seeds + seeds)
+    assert min(depths) < 6
+    assert isinstance(got[0], list) and isinstance(got[3], list)
+
+
+def test_lockstep_row_whose_trace_fails(monkeypatch):
+    """Both traces halve down to depth 0; one then raises ConvergenceError."""
+    config = random_lossless_config(np.random.default_rng(8))
+    kappas = np.linspace(-0.4, 0.4, 4)
+    seeds = [0.3739495798319328, 1.8899159663865548]
+    depths = halving_depths(monkeypatch)
+    got = assert_lockstep_equals_traces([config], [0, 0], kappas, seeds)
+    assert min(depths) == 0
+    assert isinstance(got[0], ConvergenceError)
+    assert isinstance(got[1], list)
+
+
+def test_lockstep_batch_with_a_pendant_pole_row():
+    """One trace starts on its own pendant pole: the batch evaluation raises,
+    the other rows carry on and that trace fails as trace_branch does."""
+    config = replace(CASE1_SEED, tunable="pendants.0.mu")
+    configs = [config.with_tunable(mu) for mu in (0.5, 0.6, 0.7)]
+    kappas = np.linspace(0.08, 0.32, 12)
+    seeds = [1.39, float(np.sqrt(0.6)), 1.39]
+    got = assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
+    assert isinstance(got[1], PendantPoleError)
+    assert isinstance(got[0], list) and isinstance(got[2], list)
