@@ -91,17 +91,16 @@ def _write_json(path: Path, manifest: dict, payload: dict):
         fh.write("\n")
 
 
-def _load_config(args) -> LatticeConfig:
-    return LatticeConfig.from_json(args.config)
-
-
 def _parse_range(spec: str):
-    lo, hi = spec.split(":")
-    return float(lo), float(hi)
+    try:
+        lo, hi = spec.split(":")
+        return float(lo), float(hi)
+    except ValueError:
+        raise ConfigError(f"range {spec!r} is not LO:HI") from None
 
 
 def cmd_dispersion(args) -> int:
-    config = _load_config(args)
+    config = LatticeConfig.from_json(args.config)
     k_lo, k_hi = _parse_range(args.kappa_range)
     om_lo, om_hi = _parse_range(args.omega_range)
     kappas = np.linspace(k_lo, k_hi, args.grid)
@@ -120,7 +119,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_transmission(args) -> int:
-    config = _load_config(args)
+    config = LatticeConfig.from_json(args.config)
     om_lo, om_hi = _parse_range(args.omega_range)
     omegas = np.linspace(om_lo, om_hi, args.grid)
     manifest = _manifest(args, "transmission")
@@ -143,7 +142,7 @@ def _mode_payload(mode: GuidedMode, report: dict) -> dict:
 
 
 def cmd_find_mode(args) -> int:
-    config = _load_config(args)
+    config = LatticeConfig.from_json(args.config)
     mode = find_real_mode(config, _parse_range(args.kappa_range),
                           _parse_range(args.omega_range), n_kappa=args.grid)
     if mode is None:
@@ -157,7 +156,7 @@ def cmd_find_mode(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config = _load_config(args)
+    config = LatticeConfig.from_json(args.config)
     param_range = _parse_range(args.param_range) if args.param_range else None
     tuned, mode = tune_structure(
         config,
@@ -180,11 +179,15 @@ def cmd_tune(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _load_config(args)
+    config = LatticeConfig.from_json(args.config)
     if args.mode:
-        with open(args.mode) as fh:
-            data = json.load(fh)
-        mode = polish_mode(config, data["kappa0"], data["omega0"], None)
+        try:
+            with open(args.mode) as fh:
+                data = json.load(fh)
+            kappa0, omega0 = data["kappa0"], data["omega0"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read mode {args.mode}: {exc}") from exc
+        mode = polish_mode(config, kappa0, omega0, None)
     else:
         mode = find_real_mode(config, _parse_range(args.kappa_range),
                               _parse_range(args.omega_range), n_kappa=args.grid)
@@ -231,20 +234,24 @@ def cmd_validate(args) -> int:
     path = Path(args.csv)
     rows = []
     params = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith(MANIFEST_PREFIX):
-                params = json.loads(line[len(MANIFEST_PREFIX):]).get("params", {})
-            if not line or line.startswith("#") or line.startswith("omega"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith(MANIFEST_PREFIX):
+                    manifest = json.loads(line[len(MANIFEST_PREFIX):])
+                    params = manifest.get("params", {})
+                if not line or line.startswith("#") or line.startswith("omega"):
+                    continue
+                om, t, r, *_ = map(float, line.split(","))
+                rows.append((om, t, r))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
     if not rows:
         print("validate: no data rows", file=sys.stderr)
         return EXIT_NUMERICAL
     worst = 0.0
-    for row in rows:
-        _, t, r = row[0], row[1], row[2]
+    for _, t, r in rows:
         worst = max(worst, abs(r * r + t * t - 1.0))
     print(f"validate: {len(rows)} rows, worst energy residual {worst:.3e}")
     if worst > 1e-10:
@@ -338,6 +345,10 @@ def main(argv=None) -> int:
     if getattr(args, "kappa_tilde", "skip") is None:
         args.kappa_tilde = [0.01, -0.01]
     try:
+        if getattr(args, "grid", 1) < 1:
+            raise ConfigError(f"--grid must be at least 1, got {args.grid}")
+        if getattr(args, "rows", 0) < 0:
+            raise ConfigError(f"--rows must not be negative, got {args.rows}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

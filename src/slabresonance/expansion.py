@@ -152,8 +152,7 @@ def _fit_with_errors(kts, oms, omega0, degree, radius):
     return coef, errors, resid
 
 
-def fit_zero_curve(f, mode: GuidedMode, degree: int = 2,
-                   radius: float | None = None, config: LatticeConfig = None):
+def fit_zero_curve(f, mode: GuidedMode, degree: int, radius: float):
     """Fit omega(kt) = omega0 - c1*kt - c2*kt^2 (- c3*kt^3) on two circles.
 
     ``f(kappa, omega)`` takes an array of frequencies at one kappa and
@@ -161,12 +160,8 @@ def fit_zero_curve(f, mode: GuidedMode, degree: int = 2,
     root from omega0, and a failed one raises ConvergenceError.  Returns
     (coefs, errors, resid): arrays of fitted coefficients c1..c_degree and
     per-coefficient error estimates from circle consistency plus the max fit
-    residual.  Twelve samples on circles of radius rho and rho/2.
+    residual.  Twelve samples on circles of ``radius`` and ``radius / 2``.
     """
-    if radius is None:
-        if config is None:
-            raise ValueError("need radius or config")
-        radius = sample_radius(config, mode)
     kts, oms = _sample_curve(f, mode, radius)
     return _fit_with_errors(kts, oms, mode.omega0, degree, radius)
 

@@ -31,6 +31,7 @@ from .scattering import eigen_branch, order_amplitude
 
 IM_OMEGA_TOL = 1e-9
 ROOT_TOL = 1e-10
+ROOT_MAX_ITER = 50
 RADIATING_TOL = 1e-8
 # real-omega grid points on which branch_seeds looks for minima
 SEED_GRID = 120
@@ -79,17 +80,18 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
     [omega, omega + h, omega - h] stencils, h = 1e-6 * (1 + |omega|), of the
     rows still iterating, for a central difference; ``rows`` indexes them in
     ``omega_guess``, and f returns one value per frequency.  A row leaves
-    when it converges or fails.  If the call raises, its rows are evaluated
-    one by one, and a row whose stencil raises is evaluated at omega alone:
-    an invalid guess fails with its own error; a step or a stencil out of the
-    valid domain fails with ConvergenceError, as does a second iterate with
-    larger |f| (a guess outside the basin).  Each row thus does what it would
-    do solved alone; the step arithmetic is per row, in scalars.
+    when it converges or fails: a second iterate with larger |f| (a guess
+    outside the basin) fails with ConvergenceError, and a call that raises
+    stops every row in it with that error.  The step arithmetic is per row,
+    in scalars, so a row that never shares a failing call does what it would
+    do solved alone.
 
     With one guess, f is called as ``f(kappa, omegas)``; the result is
-    (root, |f| at the root), or the row's error is raised.  With rows it is
-    (roots, |f| at the roots, errors), ``errors[i]`` being the exception that
-    stopped row i, or None.
+    (root, |f| at the root), or the error is raised.  If its stencil raises,
+    omega is evaluated alone: an invalid guess fails with its own error, and
+    an iterate or a stencil out of the valid domain with ConvergenceError.
+    With rows it is (roots, |f| at the roots, errors), ``errors[i]`` being
+    the exception that stopped row i, or None.
     """
     single = getattr(omega_guess, "ndim", 0) == 0  # np.ndim costs more
     guesses = [omega_guess] if single else list(omega_guess)
@@ -107,16 +109,26 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
             hs.append(h)
             stencils += (w, w + h, w - h)
         stencils = np.array(stencils).reshape(len(live), 3)
-        alone = None  # the rows evaluated alone after the batch raised
+        alone = False  # the one guess's stencil raised
         try:
             vals = (f(kappa, stencils[0]),) if single else f(kappa, stencils, live)
-        except (ArithmeticError, SlabError):
-            vals, alone = _rows_alone(f, kappa, stencils, live, it, errors,
-                                      single)
+        except (ArithmeticError, SlabError) as exc:
+            if not single:
+                for r in live:
+                    errors[r] = exc
+                live = []
+                break
+            alone = True
+            try:
+                vals = ((f(kappa, stencils[0, 0]), np.nan, np.nan),)
+            except (ArithmeticError, SlabError):
+                if it == 0:
+                    raise  # an invalid guess reports its real cause
+                raise ConvergenceError(
+                    f"omega Newton left the valid domain at omega={stencils[0, 0]}"
+                ) from None
         still = []
         for r, h, (val, fp, fm) in zip(live, hs, vals):
-            if alone is not None and errors[r] is not None:
-                continue  # omega itself raised
             size[r] = current = abs(val)
             if current < tol:
                 continue
@@ -128,7 +140,7 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
                     f"(|f| {first[r]:.2e} -> {current:.2e})"
                 )
                 continue
-            if alone is not None and r in alone:
+            if alone:
                 errors[r] = ConvergenceError(
                     f"omega Newton derivative stencil left the valid domain "
                     f"at omega={om[r]}"
@@ -153,38 +165,9 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
     return np.array(om), np.array(size), errors
 
 
-def _rows_alone(f, kappa, stencils, rows, it, errors, single):
-    """The rows of a failed stencil batch evaluated one by one.
-
-    Returns (values, the rows whose stencil raised).  Such a row gets NaN in
-    the derivative columns and is evaluated at omega alone; if that raises
-    too, ``errors`` gets its error: its own at the first step, else
-    ConvergenceError.  A one-row batch goes straight to omega alone.
-    """
-    vals = np.full(stencils.shape, np.nan, dtype=complex)
-    no_stencil = set()
-    for n, r in enumerate(rows):
-        one = rows[n:n + 1]
-        if len(rows) > 1:
-            try:
-                vals[n] = f(kappa, stencils[n:n + 1], one)[0]
-                continue
-            except (ArithmeticError, SlabError):
-                pass
-        no_stencil.add(r)
-        try:
-            vals[n, 0] = (f(kappa, stencils[n, 0]) if single
-                          else f(kappa, stencils[n:n + 1, 0], one)[0])
-        except (ArithmeticError, SlabError) as exc:
-            # an invalid guess reports its real cause
-            errors[r] = exc if it == 0 else ConvergenceError(
-                f"omega Newton left the valid domain at omega={stencils[n, 0]}")
-    return vals, no_stencil
-
-
 def omega_root(kappa, omega_guess, config: LatticeConfig,
                anchor: np.ndarray | None = None, tol: float = ROOT_TOL,
-               max_iter: int = 50) -> DispersionSample:
+               max_iter: int = ROOT_MAX_ITER) -> DispersionSample:
     """Newton-solve the tracked eigenvalue to zero in omega at fixed kappa.
 
     ``_omega_newton`` on ``eigen_branch``: the stencil rows are tracked from
@@ -425,12 +408,13 @@ def _lockstep(configs, owners, kappas, seeds):
 
     All traces advance together, one kappa at a time: the ``_omega_newton``
     rows of a step are every live trace, evaluated by one ``eigen_branch``
-    call per Newton step with the tunable parameter as a row axis.  A trace
-    whose row fails re-runs that kappa with ``_root_with_halving`` from the
-    same warm start, as ``trace_branch`` does.  Returns, per trace, its
-    samples or the error that stopped it.  A lone trace gains nothing from
-    the lock step, so it is traced by ``trace_branch`` itself, which costs
-    less per step.
+    call per Newton step with the tunable parameter as a row axis.  A call
+    that raises stops all of its rows; each such row, and each row whose own
+    Newton fails, re-runs that kappa with ``_root_with_halving`` from the
+    same warm start, as ``trace_branch`` does, so every trace keeps its solo
+    bits.  Returns, per trace, its samples or the error that stopped it.  A
+    lone trace gains nothing from the lock step, so it is traced by
+    ``trace_branch`` itself, which costs less per step.
     """
     if len(seeds) == 1:
         try:
@@ -442,30 +426,31 @@ def _lockstep(configs, owners, kappas, seeds):
     if len(configs) > 1:
         values = np.array([configs[c].tunable_value for c in owners])
     out = [[] for _ in seeds]
-    # each live trace's warm start: omega and, once it has one, eigenvector
+    # each live trace's warm start: omega and, after the first kappa, the
+    # eigenvector
     om = np.array(seeds, dtype=complex)
     vecs = np.zeros((len(seeds), len(base.defects)), dtype=complex)
-    has_vec = np.zeros(len(seeds), dtype=bool)
+    # every live trace is unanchored in the first Newton call, anchored after
+    anchored = False
+
+    def branch(kappa, oms, rows):
+        nonlocal anchored
+        t = live[rows]
+        anchors = newton_vecs[t] if anchored else None
+        anchored = True
+        ell, newton_vecs[t] = eigen_branch(
+            SpectralPoint(kappa, oms.reshape(len(t), -1)), base, anchors,
+            None if values is None else values[t])
+        return ell.reshape(oms.shape)
+
     live = np.arange(len(seeds))
     k_prev = None
     for k in kappas:
         if not len(live):
             break
-        newton_vecs, newton_has = vecs.copy(), has_vec.copy()
-
-        def branch(kappa, oms, rows):
-            t = live[rows]
-            # all rows of a call are anchored, or none (the first kappa)
-            anchors = newton_vecs[t] if newton_has[t[0]] else None
-            ell, newton_vecs[t] = eigen_branch(
-                SpectralPoint(kappa, oms.reshape(len(t), -1)), base, anchors,
-                None if values is None else values[t])
-            newton_has[t] = True
-            return ell.reshape(oms.shape)
-
-        # omega_root's tolerance and iteration limit
+        newton_vecs = vecs.copy()
         roots, residuals, errors = _omega_newton(branch, k, om[live], ROOT_TOL,
-                                                 50)
+                                                 ROOT_MAX_ITER)
         still = []
         for n, t in enumerate(live):
             if errors[n] is None and not roots[n].imag > IM_OMEGA_TOL:
@@ -474,13 +459,13 @@ def _lockstep(configs, owners, kappas, seeds):
             else:
                 try:
                     samp = _root_with_halving(
-                        k_prev, om[t], vecs[t] if has_vec[t] else None, k,
+                        k_prev, om[t], None if k_prev is None else vecs[t], k,
                         configs[owners[t]])
                 except (ArithmeticError, SlabError) as exc:
                     out[t] = exc
                     continue
             out[t].append(samp)
-            om[t], vecs[t], has_vec[t] = samp.omega, samp.vector, True
+            om[t], vecs[t] = samp.omega, samp.vector
             still.append(t)
         live = np.array(still, dtype=int)
         k_prev = k

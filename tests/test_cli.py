@@ -245,6 +245,35 @@ class TestModeCommands:
         assert code == 4
 
 
+CASE2_BRANCH = ["dispersion", "--config", CASE2, "--omega-range", "1.3:1.7",
+                "--out", "TMP/out"]
+CSV_HEAD = "# manifest: {}\nomega,T,R,phase_rad\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(CASE2_BRANCH + ["--kappa-range=-0.25"], None, id="range-no-colon"),
+    pytest.param(CASE2_BRANCH + ["--kappa-range=-0.25:0.25", "--grid", "0"], None,
+                 id="grid-0"),
+    pytest.param(["validate", "--csv", "TMP/missing.csv"], None, id="csv-missing"),
+    pytest.param(["analyze", "--config", CASE2, "--mode", "TMP/missing.json",
+                  "--out", "TMP/out"], None, id="mode-missing"),
+    pytest.param(["analyze", "--config", CASE2, "--mode", "TMP/input",
+                  "--out", "TMP/out"], "[1, 2]\n", id="mode-not-an-object"),
+    pytest.param(["validate", "--csv", "TMP/input"],
+                 CSV_HEAD + "1.4,0.6,not-a-number,0.0\n", id="csv-not-a-number"),
+    pytest.param(["validate", "--csv", "TMP/input"], CSV_HEAD + "1.4,0.6\n",
+                 id="csv-short-row"),
+    pytest.param(["validate", "--csv", "TMP/input", "--rows", "-1"],
+                 CSV_HEAD + "1.4,0.6,0.8,0.0\n", id="rows-negative"),
+])
+def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
+    """Malformed command-line input is a config error, not a traceback."""
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+    assert run([a.replace("TMP", str(tmp_path)) for a in argv]) == 4
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def readme_tune(tmp_path_factory):
     """The README tune's output directory and its eigen_branch call count."""

@@ -66,8 +66,8 @@ class TestFitZeroCurve:
 
     def test_symmetric_config_even_curve(self, case2_config, case2_mode):
         f = triple_sampler(case2_config, case2_mode, "eigval")
-        coef, errors, _ = fit_zero_curve(f, case2_mode, 2,
-                                         config=case2_config)
+        coef, errors, _ = fit_zero_curve(
+            f, case2_mode, 2, sample_radius(case2_config, case2_mode))
         assert abs(coef[0]) < errors[0], "linear coefficient should vanish"
 
     def test_case1_linear_coefficients_agree(self, case1_tuned):

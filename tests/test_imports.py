@@ -1,7 +1,8 @@
-"""Every name a package module imports at module level is used there.
+"""Every name a package module imports at module level is used there, and
+every module-level private function has a caller.
 
 No linter runs on the package, so a refactor that deletes the last use of an
-imported name would leave the import behind unnoticed.  Lines marked
+imported name or a helper would leave it behind unnoticed.  Lines marked
 ``noqa`` keep an import on purpose and are exempt, as are ``__future__``
 imports.
 """
@@ -32,3 +33,22 @@ def test_module_imports_are_used(path):
             if "noqa" not in lines[alias.lineno - 1] and name not in used:
                 unused.append(name)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_private_functions_are_referenced():
+    """Every module-level ``_private`` function is referenced by another
+    top-level statement of some package module, so a refactor that deletes a
+    helper's last caller cannot leave the helper behind."""
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            names |= {sub.attr for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute)}
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined.append((path.name, node.name))
+                names.discard(node.name)  # a recursive call is no caller
+            used |= names
+    dead = [f"{module}:{name}" for module, name in defined if name not in used]
+    assert not dead, f"private functions nothing references: {dead}"

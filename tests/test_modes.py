@@ -18,7 +18,13 @@ from slabresonance.errors import (
     PendantPoleError,
 )
 from slabresonance.lattice import effective_potential, greens_function, order_arrays
-from slabresonance.modes import branch_seeds, decay_profile
+from slabresonance.modes import (
+    ROOT_MAX_ITER,
+    ROOT_TOL,
+    _omega_newton,
+    branch_seeds,
+    decay_profile,
+)
 
 from conftest import ambiguous_anchor
 
@@ -68,6 +74,22 @@ class TestOmegaRootErrors:
         probe = ambiguous_anchor(point, case1_seed_config)
         with pytest.raises(BranchCollisionError, match="branch overlap"):
             omega_root(point.kappa, point.omega, case1_seed_config, probe)
+
+
+def test_omega_newton_failed_call_stops_every_row():
+    """A batch call that raises stops every row in it with that error."""
+    exc = PendantPoleError("injected")
+    calls = []
+
+    def f(kappa, oms, rows):
+        calls.append(list(rows))
+        raise exc
+
+    roots, _, errors = _omega_newton(f, 0.1, np.array([1.0, 1.2, 1.4]),
+                                     ROOT_TOL, ROOT_MAX_ITER)
+    assert calls == [[0, 1, 2]]
+    assert all(e is exc for e in errors) and len(errors) == 3
+    assert list(roots) == [1.0, 1.2, 1.4]
 
 
 class TestFindRealMode:

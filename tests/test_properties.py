@@ -8,6 +8,7 @@ point with exactly order 0 propagating (``random_lossless_config`` and
 run free of files.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -410,9 +411,49 @@ def test_lockstep_row_whose_trace_fails(monkeypatch):
     assert isinstance(got[1], list)
 
 
+def lockstep_fallbacks(monkeypatch):
+    """Record the kappa of every _root_with_halving call _lockstep makes."""
+    kappas = []
+    solo = modes._root_with_halving
+
+    def recorded(k_prev, om, vec, k, config, depth=6):
+        if sys._getframe(1).f_code.co_name == "_lockstep":
+            kappas.append(k)
+        return solo(k_prev, om, vec, k, config, depth)
+
+    monkeypatch.setattr(modes, "_root_with_halving", recorded)
+    return kappas
+
+
+def test_lockstep_failed_call_falls_back_per_row(monkeypatch):
+    """A batched eigen_branch call that raises at a later kappa stops all of
+    its rows: each re-runs that kappa on the solo path, once, and every
+    trace keeps the bits of trace_branch."""
+    config = replace(CASE1_SEED, tunable="pendants.0.g")
+    configs = [config.with_tunable(g) for g in (0.3, 0.4, 0.5)]
+    kappas = np.linspace(0.08, 0.32, 12)
+    seeds = [branch_seeds(c, kappas[0], (1.30, 1.46))[0] for c in configs]
+    batched = modes.eigen_branch
+    failed = []
+
+    def eigen_branch(point, *args):
+        if np.ndim(point.omega) == 2 and point.kappa == kappas[5] and not failed:
+            failed.append(len(point.omega))
+            raise ArithmeticError("injected failure of a batched call")
+        return batched(point, *args)
+
+    monkeypatch.setattr(modes, "eigen_branch", eigen_branch)
+    fallbacks = lockstep_fallbacks(monkeypatch)
+    got = assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
+    assert failed == [3]
+    assert fallbacks == [kappas[5]] * 3
+    assert all(len(trace) == len(kappas) for trace in got)
+
+
 def test_lockstep_batch_with_a_pendant_pole_row():
-    """One trace starts on its own pendant pole: the batch evaluation raises,
-    the other rows carry on and that trace fails as trace_branch does."""
+    """One trace starts on its own pendant pole: the batch evaluation raises
+    and stops every row in it; each re-runs the first kappa on the solo path,
+    where that trace fails as trace_branch does and the others carry on."""
     config = replace(CASE1_SEED, tunable="pendants.0.mu")
     configs = [config.with_tunable(mu) for mu in (0.5, 0.6, 0.7)]
     kappas = np.linspace(0.08, 0.32, 12)
