@@ -95,7 +95,7 @@ def _parse_range(spec: str):
     try:
         lo, hi = spec.split(":")
         return float(lo), float(hi)
-    except ValueError:
+    except (AttributeError, ValueError):  # not a string, or not LO:HI
         raise ConfigError(f"range {spec!r} is not LO:HI") from None
 
 
@@ -262,8 +262,12 @@ def cmd_validate(args) -> int:
         picks = rng.choice(len(rows), size=min(args.rows, len(rows)),
                            replace=False)
         # the CSV rounds omega to 13 digits; re-solve on the exact grid point
-        grid = (np.linspace(*_parse_range(params["omega_range"]), params["grid"])
-                if "omega_range" in params and "grid" in params else None)
+        n = params.get("grid")
+        if n is not None and (not isinstance(n, int) or n < 1):
+            raise ConfigError(f"CSV {path}: manifest grid {n!r} is not a "
+                              "positive integer")
+        grid = (np.linspace(*_parse_range(params["omega_range"]), n)
+                if "omega_range" in params and n is not None else None)
         omegas = [rows[i][0] for i in picks]
         if grid is not None:
             omegas = [grid[np.argmin(np.abs(grid - om))] for om in omegas]
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kappa-range", required=True, metavar="LO:HI")
     p.add_argument("--omega-range", required=True, metavar="LO:HI")
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=int)  # default: see find_real_mode
     p.set_defaults(func=cmd_find_mode)
 
     p = sub.add_parser("tune", help="tune the config's parameter to a mode")
@@ -345,7 +349,7 @@ def main(argv=None) -> int:
     if getattr(args, "kappa_tilde", "skip") is None:
         args.kappa_tilde = [0.01, -0.01]
     try:
-        if getattr(args, "grid", 1) < 1:
+        if getattr(args, "grid", None) is not None and args.grid < 1:
             raise ConfigError(f"--grid must be at least 1, got {args.grid}")
         if getattr(args, "rows", 0) < 0:
             raise ConfigError(f"--rows must not be negative, got {args.rows}")

@@ -36,9 +36,12 @@ RADIATING_TOL = 1e-8
 # real-omega grid points on which branch_seeds looks for minima
 SEED_GRID = 120
 POLISH_MAX_ITER = 40
-# tune_structure: parameter values scanned, kappa points traced per value
+# kappa points traced before polishing (the polished point moves ~3e-14 with
+# them); a coarse trace can jump past a mode, see find_real_mode
+SCAN_KAPPAS = 15
+DENSE_KAPPAS = 200
+# tune_structure: parameter values scanned
 TUNE_SCAN = 13
-TUNE_KAPPAS = 60
 # decay_profile's rows, counted above the topmost defect
 DECAY_ROWS = range(5, 21)
 
@@ -334,7 +337,7 @@ def _mode_from_sample(kappa0, samp, config) -> GuidedMode:
 
 
 def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
-                   n_kappa: int = 200) -> GuidedMode | None:
+                   n_kappa: int | None = None) -> GuidedMode | None:
     """Scan a kappa grid, trace omega(kappa), return the real point if any.
 
     The branch is traced from seeds found at the first kappa; the grid
@@ -342,7 +345,17 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     Returns None when no point reaches |Im omega| < 1e-9.  A seed whose
     branch cannot be traced is skipped; a polisher failure is a solver
     failure and propagates (ConvergenceError / DispersionSignError).
+    The grid has ``n_kappa`` points.  By default it has SCAN_KAPPAS, and
+    when those give no mode or raise, the DENSE_KAPPAS search answers: a
+    coarse trace can jump to a neighbouring root past a mode.
     """
+    if n_kappa is None:
+        try:
+            mode = find_real_mode(config, kappa_range, omega_window, SCAN_KAPPAS)
+        except (ArithmeticError, SlabError):
+            mode = None
+        return mode or find_real_mode(config, kappa_range, omega_window,
+                                      DENSE_KAPPAS)
     kappas = np.linspace(kappa_range[0], kappa_range[1], n_kappa)
     _, samp0 = _flattest_sample([config], kappas, omega_window)[0]
     if samp0 is None:
@@ -480,7 +493,7 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     the one minimizing s -> min_kappa |Im omega(kappa; s)| (the minimum
     touches zero quadratically, so a sign-based bisection does not apply).
     One ``_flattest_sample`` call traces the first three branches of every
-    scan value in lock step on TUNE_KAPPAS points: each Newton step of all
+    scan value in lock step on SCAN_KAPPAS points: each Newton step of all
     of them is one ``eigen_branch`` call, with the parameter as a row axis,
     and each trace keeps the bits it has when traced alone.
     Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
@@ -496,11 +509,11 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
         span = 0.5 * (1.0 + abs(s0))
         param_range = (s0 - span, s0 + span)
 
-    kappas = np.linspace(kappa_target_range[0], kappa_target_range[1], TUNE_KAPPAS)
+    kappas = np.linspace(kappa_target_range[0], kappa_target_range[1], SCAN_KAPPAS)
 
     # a mode may already exist at the current parameter (tuning is a no-op)
     existing = find_real_mode(config, kappa_target_range, omega_window,
-                              n_kappa=TUNE_KAPPAS)
+                              SCAN_KAPPAS)
     if existing is not None:
         return config, existing
 

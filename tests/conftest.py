@@ -116,6 +116,34 @@ def random_lossless_config(rng, max_period=3, max_defects=3):
     return LatticeConfig(period, tuple(defects), pendants)
 
 
+def mirror_pairs(period, *pairs):
+    """A lossless config of mirror pairs (x, z, d): a defect at (x, z) and one
+    at its image ((1 - x) mod period, z), both with d.
+
+    A site that is its own image holds one defect; a pair on taken sites adds
+    none (x -> 1 - x is an involution, so a pair's sites are taken together).
+    """
+    sites = {}
+    for x, z, d in pairs:
+        for site in ((x, z), ((1 - x) % period, z)):
+            sites.setdefault(site, d)
+    return LatticeConfig(period, tuple(Defect(x, z, d)
+                                       for (x, z), d in sites.items()))
+
+
+def random_mirror_config(rng, max_pairs=2):
+    """A random lossless config symmetric under x -> (1 - x) mod period.
+
+    ``mirror_pairs`` of up to ``max_pairs`` pairs drawn in rows z in [-2, 2],
+    so the config's modes at kappa = 0 are symmetry-protected.
+    """
+    period = int(rng.integers(2, 5))
+    pairs = [(int(rng.integers(0, period)), int(rng.integers(-2, 3)),
+              float(rng.uniform(-2.5, -0.5)))
+             for _ in range(int(rng.integers(1, max_pairs + 1)))]
+    return mirror_pairs(period, *pairs)
+
+
 def ambiguous_anchor(point, config):
     """A unit vector overlapping none of A's eigenvectors well at ``point``.
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import platform
 from pathlib import Path
@@ -16,32 +17,37 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 README_CURVE = REFERENCE / "transmission" / "transmission_kappa_+0.020000.csv"
 README_TUNE = ["tune", "--config", CASE1_SEED, "--kappa-range", "0.08:0.32",
                "--omega-range", "1.30:1.46", "--param-range", "0.05:0.8"]
-# Every value the README `tune` wrote while the tuner traced its scan one
-# parameter value at a time (reference/tune/ is from an older tuner, about
+# Every value the README `tune` writes: its scan traces SCAN_KAPPAS kappa
+# points per parameter value (reference/tune/ is from an older tuner, about
 # 1e-12 away).
 README_TUNED_CONFIG = {
     "defects": [{"d": -3.0, "x": 0, "z": -1}, {"d": -0.9, "x": 0, "z": 0},
                 {"d": -3.0, "x": 0, "z": 1}, {"d": -0.12, "x": 1, "z": 0}],
-    "pendants": [{"g": 0.4123064997365217, "host": 3, "mu": 0.5}],
+    "pendants": [{"g": 0.41230649973657857, "host": 3, "mu": 0.5}],
     "period": 3,
     "tunable": {"path": "pendants.0.g"},
 }
 README_TUNE_MODE = {
-    "kappa0": 0.19427725048477237,
-    "omega0": 1.384427227306776,
-    "radiating_component": 4.819793355081208e-16,
-    "residual": 3.292613396830223e-16,
+    "kappa0": 0.19427725048478905,
+    "omega0": 1.3844272273067761,
+    "radiating_component": 6.174824168298554e-15,
+    "residual": 6.621514488340821e-16,
     "verification": {
         "checks": {"decay": True, "eig": True, "im_omega": True,
                    "radiating": True},
-        "decay_rate": 0.837961942765542,
-        "decay_rate_expected": 0.8304281292192532,
-        "eig_abs": 3.292613396830223e-16,
+        "decay_rate": 0.8379619447928762,
+        "decay_rate_expected": 0.830428129219236,
+        "eig_abs": 6.621514488340821e-16,
         "im_omega": 0.0,
         "passed": True,
-        "radiating_component": 5.611281603875703e-16,
+        "radiating_component": 6.1379065623818505e-15,
     },
 }
+# The README `tune`'s point when its scan traced 60 kappa points: the scan
+# only picks the polisher's start, so the point moves by its noise floor.
+SCAN60_G = 0.4123064997365217
+SCAN60_KAPPA0 = 0.19427725048477237
+SCAN60_OMEGA0 = 1.384427227306776
 
 
 def data_rows(text):
@@ -216,16 +222,41 @@ class TestModeCommands:
         got = json.loads((out / "mode.json").read_text())
         assert got.pop("manifest")["command"] == "tune"
         assert got == README_TUNE_MODE
-        assert json.loads((out / "tuned_config.json").read_text()) == (
-            README_TUNED_CONFIG)
+        tuned = json.loads((out / "tuned_config.json").read_text())
+        assert tuned == README_TUNED_CONFIG
+        assert abs(tuned["pendants"][0]["g"] - SCAN60_G) < 1e-12
+        assert abs(got["kappa0"] - SCAN60_KAPPA0) < 1e-12
+        assert abs(got["omega0"] - SCAN60_OMEGA0) < 1e-12
 
     def test_readme_tune_eigen_branch_calls(self, readme_tune):
         """The scan values share one eigen_branch call per Newton step.
 
-        Tracing them one after another took 2,738 calls in the scan alone.
+        Tracing them one after another took 2,738 calls in the scan alone,
+        and a 60-kappa lock-step scan 453 calls in all.
         """
         _, calls = readme_tune
-        assert calls <= 500
+        assert calls <= 250
+
+    def test_readme_mode_eigen_branch_calls(self, tmp_path):
+        """The README find-mode finds its mode on SCAN_KAPPAS kappa points;
+        the 200 it scanned before took 693 calls."""
+        with counted_eigen_branch() as calls:
+            assert run(["find-mode", "--config", CASE2,
+                        "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                        "--out", str(tmp_path)]) == 0
+        assert len(calls) <= 100
+
+    def test_tune_default_range_either_sign(self, tmp_path):
+        """Without --param-range the range holds g and -g, which give the same
+        V_eff (it depends on g**2); the tuner may land on either minimum."""
+        assert README_TUNE[-2] == "--param-range"
+        assert run(README_TUNE[:-2] + ["--out", str(tmp_path)]) == 0
+        mode = json.loads((tmp_path / "mode.json").read_text())
+        tuned = json.loads((tmp_path / "tuned_config.json").read_text())
+        g = README_TUNED_CONFIG["pendants"][0]["g"]
+        assert abs(abs(tuned["pendants"][0]["g"]) - g) < 1e-12
+        assert abs(mode["kappa0"] - README_TUNE_MODE["kappa0"]) < 1e-12
+        assert abs(mode["omega0"] - README_TUNE_MODE["omega0"]) < 1e-12
 
     def test_tune_radiating_point_exit_3(self, tmp_path, monkeypatch):
         """A tuned point find-mode would not accept writes no mode.json."""
@@ -248,6 +279,13 @@ class TestModeCommands:
 CASE2_BRANCH = ["dispersion", "--config", CASE2, "--omega-range", "1.3:1.7",
                 "--out", "TMP/out"]
 CSV_HEAD = "# manifest: {}\nomega,T,R,phase_rad\n"
+RESOLVE = ["validate", "--csv", "TMP/input", "--config", CASE2, "--kappa", "0.02"]
+
+
+def manifest_csv(grid, omega_range):
+    """A one-row transmission CSV whose manifest records this omega grid."""
+    params = json.dumps({"params": {"grid": grid, "omega_range": omega_range}})
+    return f"# manifest: {params}\nomega,T,R,phase_rad\n1.4,0.6,0.8,0.0\n"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -265,6 +303,9 @@ CSV_HEAD = "# manifest: {}\nomega,T,R,phase_rad\n"
                  id="csv-short-row"),
     pytest.param(["validate", "--csv", "TMP/input", "--rows", "-1"],
                  CSV_HEAD + "1.4,0.6,0.8,0.0\n", id="rows-negative"),
+    pytest.param(RESOLVE, manifest_csv("x", "1.40:1.55"), id="manifest-grid-not-int"),
+    pytest.param(RESOLVE, manifest_csv(400, [1.40, 1.55]),
+                 id="manifest-range-not-string"),
 ])
 def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
     """Malformed command-line input is a config error, not a traceback."""
@@ -274,10 +315,9 @@ def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def readme_tune(tmp_path_factory):
-    """The README tune's output directory and its eigen_branch call count."""
-    out = tmp_path_factory.mktemp("tune")
+@contextlib.contextmanager
+def counted_eigen_branch():
+    """A list that gains one entry per eigen_branch call inside the block."""
     eigen_branch = scattering.eigen_branch
     calls = []
 
@@ -288,6 +328,14 @@ def readme_tune(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         for module in (scattering, modes):
             patch.setattr(module, "eigen_branch", counted)
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def readme_tune(tmp_path_factory):
+    """The README tune's output directory and its eigen_branch call count."""
+    out = tmp_path_factory.mktemp("tune")
+    with counted_eigen_branch() as calls:
         assert run(README_TUNE + ["--out", str(out)]) == 0
     return out, len(calls)
 

@@ -12,10 +12,12 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, reject, settings
+import pytest
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from slabresonance import (
+    GuidedMode,
     SpectralPoint,
     coefficient_triple,
     eigen_branch,
@@ -34,17 +36,27 @@ from slabresonance.errors import (
 )
 from slabresonance.lattice import OK, interaction_matrix
 from slabresonance.modes import (
+    DENSE_KAPPAS,
     IM_OMEGA_TOL,
+    SCAN_KAPPAS,
     SEED_GRID,
     _smallest_eig_moduli,
     branch_seeds,
+    find_real_mode,
     trace_branch,
+    verify_mode,
 )
 from slabresonance.scattering import SKIP_ERRORS, solve_grid
 
 from _oracles import strip_solve
 
-from conftest import CASE1_SEED, random_lossless_config, random_regime_point
+from conftest import (
+    CASE1_SEED,
+    mirror_pairs,
+    random_lossless_config,
+    random_mirror_config,
+    random_regime_point,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -461,3 +473,86 @@ def test_lockstep_batch_with_a_pendant_pole_row():
     got = assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
     assert isinstance(got[1], PendantPoleError)
     assert isinstance(got[0], list) and isinstance(got[2], list)
+
+
+def mirror_case(seed):
+    """A mirror-symmetric config, kappa range (-0.25, 0.25) and omega window."""
+    rng = np.random.default_rng(seed)
+    config = random_mirror_config(rng)
+    lo = float(rng.uniform(0.3, 1.2))
+    return config, (-0.25, 0.25), (lo, lo + float(rng.uniform(0.3, 0.8)))
+
+
+# a mode the dense search misses: its trace stops outside the Newton basin
+MISSED_DENSE = (
+    mirror_pairs(4, (3, 2, -1.4672864296867942), (0, 1, -2.152702967554777)),
+    (-0.25, 0.25), (0.40223130319092726, 1.0224618611368166))
+# two real points at kappa = 0
+TWO_MODES = (
+    mirror_pairs(4, (3, 2, -2.4600604225847893), (1, -2, -1.4344536812972144)),
+    (-0.25, 0.25), (0.8879897357298199, 1.5552513647968988))
+
+
+@example(MISSED_DENSE)
+@example(TWO_MODES)
+@examples(12)
+@given(SEEDS.map(mirror_case))
+def test_default_search_keeps_the_dense_modes(case):
+    """The default search finds a mode wherever the DENSE_KAPPAS search does.
+
+    Every mode it returns passes verify_mode.  Where the two find the same
+    mode (within 1e-6) and none of the dense search's traced branches is real
+    at every kappa (then any kappa is a real point), they agree within 1e-12.
+    A window may hold several modes, and the SCAN_KAPPAS trace may reach
+    another one first.
+    """
+    config, kappa_range, window = case
+    traces = []
+    lockstep = modes._lockstep
+
+    def recorded(*args):
+        got = lockstep(*args)
+        traces.extend(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "_lockstep", recorded)
+        dense = outcome(find_real_mode, config, kappa_range, window,
+                        DENSE_KAPPAS)
+    found = outcome(find_real_mode, config, kappa_range, window)
+    if isinstance(found, GuidedMode):
+        assert verify_mode(found, config)["passed"]
+    if not isinstance(dense, GuidedMode):
+        return
+    assert isinstance(found, GuidedMode)
+    if any(isinstance(t, list) and all(abs(s.omega.imag) < IM_OMEGA_TOL
+                                       for s in t) for t in traces):
+        return
+    moved = max(abs(found.kappa0 - dense.kappa0),
+                abs(found.omega0 - dense.omega0))
+    assert moved < 1e-12 or moved > 1e-6
+
+
+@pytest.mark.parametrize("config, window, omega0", [
+    (mirror_pairs(4, (1, 1, -1.0377615750712645), (0, -2, -1.41985814704811)),
+     (1.111021501259668, 1.8001388781584604), 1.3333814677158717),
+    (mirror_pairs(4, (1, 1, -1.1856866157287327), (3, 2, -2.0355072327364745)),
+     (0.4080299012112423, 1.0018676599973677), 1.2147983524351373),
+    (mirror_pairs(4, (0, 2, -1.9743074402563152), (0, 0, -1.5694377706289342)),
+     (1.16043946583717, 1.6118744353400665), None),
+])
+def test_default_search_falls_back_to_the_dense_scan(config, window, omega0):
+    """Where the SCAN_KAPPAS search gives no mode or fails, the DENSE_KAPPAS
+    search answers (``mirror_case`` seeds 89, 307 and 194).
+
+    In the first two the coarse trace jumps past the mode at (0, omega0); in
+    the third the polisher steps off the kappa range from an edge sample.
+    """
+    coarse = outcome(find_real_mode, config, (-0.25, 0.25), window,
+                     SCAN_KAPPAS)
+    assert coarse is None or coarse[0] is ConvergenceError
+    mode = find_real_mode(config, (-0.25, 0.25), window)
+    if omega0 is None:
+        assert coarse is not None and mode is None
+    else:
+        assert mode.kappa0 == 0.0 and abs(mode.omega0 - omega0) < 1e-12
