@@ -38,7 +38,6 @@ from .scattering import (
     ScatteringSolution,
     coefficient_triple,
     eigen_branch,
-    field_enhancement,
     solve_scattering,
 )
 from .modes import (
@@ -52,7 +51,6 @@ from .modes import (
 )
 from .expansion import (
     ExpansionCoefficients,
-    classify_case,
     extract_background,
     extract_coefficients,
     fit_zero_curve,

@@ -94,9 +94,12 @@ def _write_json(path: Path, manifest: dict, payload: dict):
 def _parse_range(spec: str):
     try:
         lo, hi = spec.split(":")
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except (AttributeError, ValueError):  # not a string, or not LO:HI
         raise ConfigError(f"range {spec!r} is not LO:HI") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"range {spec!r} is not finite")
+    return lo, hi
 
 
 def cmd_dispersion(args) -> int:
@@ -167,10 +170,7 @@ def cmd_tune(args) -> int:
     report = verify_mode(mode, tuned)
     manifest = _manifest(args, "tune")
     out_cfg = Path(args.out) / "tuned_config.json"
-    out_cfg.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_cfg, "w") as fh:
-        json.dump(tuned.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_cfg, manifest, tuned.to_dict())
     out_mode = Path(args.out) / "mode.json"
     _write_json(out_mode, manifest, _mode_payload(mode, report))
     print(out_cfg)
@@ -353,6 +353,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--grid must be at least 1, got {args.grid}")
         if getattr(args, "rows", 0) < 0:
             raise ConfigError(f"--rows must not be negative, got {args.rows}")
+        for key in ("kappa", "kappa_tilde"):
+            values = getattr(args, key, None) or []
+            if not np.isfinite(values).all():
+                raise ConfigError(f"--{key.replace('_', '-')} must be finite, "
+                                  f"got {values}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,9 +20,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .lattice import LatticeConfig, SpectralPoint, wood_distance
 from .modes import GuidedMode, _omega_newton
-# eigen_branch: perfbench/selftest.py checks that its tracer wraps this binding
-from .scattering import eigen_branch  # noqa: F401
-from .scattering import coefficient_triple, solve_scattering, tracked_eigenvalue
+from .scattering import coefficient_triple, eigen_branch, solve_scattering
 
 N_ANGLES = 6
 ZERO_TOL = 5e-13
@@ -92,13 +90,13 @@ def triple_sampler(config: LatticeConfig, mode: GuidedMode, part: str):
     ``part`` names the ``CoefficientTriple`` field: ``"eigval"``, ``"refl"``
     or ``"trans"``.  f takes an array of frequencies at one kappa, makes one
     call anchored at the mode null vector and returns one value per row:
-    ``tracked_eigenvalue`` for the eigenvalue, which needs no scattering
-    solve, else ``coefficient_triple``.
+    ``eigen_branch`` for the eigenvalue, which needs no scattering solve,
+    else ``coefficient_triple``.
     """
     def f(kappa, omega):
         point = SpectralPoint(kappa, omega)
         if part == "eigval":
-            return tracked_eigenvalue(point, config, mode.nullvector)
+            return eigen_branch(point, config, mode.nullvector)[0]
         return getattr(coefficient_triple(point, config, mode.nullvector), part)
 
     return f
@@ -231,6 +229,7 @@ def extract_background(mode: GuidedMode, config: LatticeConfig,
 
 
 def _classify_linear(l1: complex, l1_error: float) -> int:
+    """Case 2 iff the linear coefficient is zero within 10x its fit error."""
     mag = abs(l1)
     if mag < 3.0 * l1_error:
         return 2
@@ -242,11 +241,6 @@ def _classify_linear(l1: complex, l1_error: float) -> int:
         )
         return 2
     return 1
-
-
-def classify_case(coeffs: ExpansionCoefficients) -> int:
-    """Case 2 iff the linear coefficient is zero within 10x its fit error."""
-    return _classify_linear(coeffs.l1, coeffs.error("l1"))
 
 
 def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
@@ -382,11 +376,3 @@ def verify_relations(coeffs: ExpansionCoefficients) -> list[Relation]:
             abs(c.l2) ** 2, sq_r, sq_t)
     return out
 
-
-def convexity_gap(r0, t0, r1, t1) -> float:
-    """r0^2 (Re r1)^2 + t0^2 (Re t1)^2 - (r0^2 Re r1 + t0^2 Re t1)^2.
-
-    Nonnegative whenever r0^2 + t0^2 = 1, zero iff Re r1 = Re t1.
-    """
-    mean = r0**2 * np.real(r1) + t0**2 * np.real(t1)
-    return float(r0**2 * np.real(r1) ** 2 + t0**2 * np.real(t1) ** 2 - mean**2)

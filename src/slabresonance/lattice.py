@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, PendantPoleError, WoodAnomalyError
+from .errors import ConfigError, PendantPoleError, SlabError, WoodAnomalyError
 
 DISPERSION_TOL = 1e-12
 WOOD_GUARD = 1e-9
@@ -207,7 +207,7 @@ def order_wavenumber(kappa_p, omega):
     half = np.sin(eta / 2.0)
     resid = 4.0 * np.abs(half * half - w).max()
     if resid > DISPERSION_TOL:
-        raise ArithmeticError(
+        raise SlabError(
             f"dispersion residual {resid:.2e} exceeds {DISPERSION_TOL:.0e}"
         )
     return eta[()]

@@ -530,25 +530,20 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     k, s = float(samp0.kappa), float(svals[i])
     om, vec = samp0.omega, samp0.vector
 
-    def rho_of(kv, sv, omg, anc):
-        cfg = config.with_tunable(sv)
-        samp = omega_root(kv, omg, cfg, anc)
-        right, _ = null_order0_amplitudes(kv, samp.omega, cfg, samp.vector)
-        return right, samp
-
     converged = False
     for _ in range(40):
-        r0, samp = rho_of(k, s, om, vec)
+        tuned = config.with_tunable(s)
+        r0, samp = _rho(k, om, tuned, vec)
         om, vec = samp.omega, samp.vector
         if abs(r0) < 5e-14:
             converged = True
             break
         hk = 1e-7 * (1.0 + abs(k))
         hs = 1e-7 * (1.0 + abs(s))
-        rk1, _ = rho_of(k + hk, s, om, vec)
-        rk2, _ = rho_of(k - hk, s, om, vec)
-        rs1, _ = rho_of(k, s + hs, om, vec)
-        rs2, _ = rho_of(k, s - hs, om, vec)
+        rk1, _ = _rho(k + hk, om, tuned, vec)
+        rk2, _ = _rho(k - hk, om, tuned, vec)
+        rs1, _ = _rho(k, om, config.with_tunable(s + hs), vec)
+        rs2, _ = _rho(k, om, config.with_tunable(s - hs), vec)
         drdk = (rk1 - rk2) / (2 * hk)
         drds = (rs1 - rs2) / (2 * hs)
         jac = np.array([[drdk.real, drds.real], [drdk.imag, drds.imag]])
@@ -562,7 +557,6 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
             f"tuner Gauss-Newton stalled at |rho| = {abs(r0):.2e}"
         )
 
-    tuned = config.with_tunable(s)
     mode = polish_mode(tuned, k, om, vec)
     if mode is None:
         raise ConvergenceError(

@@ -325,28 +325,6 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     return _take(evals, picks), vec
 
 
-def _tracked_eigenvalue(point, config, a, anchor):
-    """Eigenvalue of ``a`` at each row of ``point`` picked from ``anchor``.
-
-    The far-field order check of a real row follows the pick, so the error
-    a point raises is the one ``coefficient_triple`` raises there.
-    """
-    evals, evecs = np.linalg.eig(a)
-    ell = _take(evals, _pick(evals, evecs, anchor))[()]
-    _require_one_order(point, config)
-    return ell
-
-
-def tracked_eigenvalue(point: SpectralPoint, config: LatticeConfig,
-                       anchor: np.ndarray | None = None):
-    """The ``eigval`` member of ``coefficient_triple`` alone, with its bits.
-
-    Builds A and eigendecomposes it, with no scattering solve.
-    """
-    return _tracked_eigenvalue(point, config, interaction_matrix(point, config),
-                               anchor)
-
-
 def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
                        anchor: np.ndarray | None = None) -> CoefficientTriple:
     """(eigval, eigval*R, eigval*T) at a spectral point.
@@ -360,7 +338,10 @@ def coefficient_triple(point: SpectralPoint, config: LatticeConfig,
     like a point if real and equal to a single-point call bit for bit.
     """
     evaluation = evaluate_point(point, config)
-    ell = _tracked_eigenvalue(point, config, evaluation[2], anchor)
+    evals, evecs = np.linalg.eig(evaluation[2])
+    ell = _take(evals, _pick(evals, evecs, anchor))[()]
+    # a BranchCollisionError of the pick comes before the far-field check
+    _require_one_order(point, config)
     _, refl, trans, _ = _scatter(evaluation, config, strict=False)
     return CoefficientTriple(ell, _product(ell, refl), _product(ell, trans))
 
@@ -381,13 +362,3 @@ def peak_field(point, config, psi):
         pendant = np.abs(pendant_amplitudes(point, config, psi)).max(axis=0)
         peak = np.maximum(peak, pendant)
     return peak
-
-
-def field_enhancement(point: SpectralPoint, config: LatticeConfig) -> float:
-    """Max |field| over defect and pendant sites for unit incidence.
-
-    Finite at the guided-mode point itself: the minimum-norm solution is used
-    there (the scattering problem remains solvable, just not unique).
-    """
-    sol = solve_scattering(point, config, strict=False)
-    return float(peak_field(point, config, sol.psi))

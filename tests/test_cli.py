@@ -9,6 +9,7 @@ import pytest
 from slabresonance import modes, scattering
 from slabresonance.cli import main
 from slabresonance.errors import ConvergenceError
+from slabresonance.lattice import LatticeConfig
 
 CASE2 = "configs/case2_symmetric.json"
 CASE1_SEED = "configs/case1_seed.json"
@@ -30,7 +31,7 @@ README_TUNED_CONFIG = {
 README_TUNE_MODE = {
     "kappa0": 0.19427725048478905,
     "omega0": 1.3844272273067761,
-    "radiating_component": 6.174824168298554e-15,
+    "radiating_component": 6.19335650382439e-15,
     "residual": 6.621514488340821e-16,
     "verification": {
         "checks": {"decay": True, "eig": True, "im_omega": True,
@@ -40,7 +41,7 @@ README_TUNE_MODE = {
         "eig_abs": 6.621514488340821e-16,
         "im_omega": 0.0,
         "passed": True,
-        "radiating_component": 6.1379065623818505e-15,
+        "radiating_component": 6.1471584965385964e-15,
     },
 }
 # The README `tune`'s point when its scan traced 60 kappa points: the scan
@@ -223,7 +224,10 @@ class TestModeCommands:
         assert got.pop("manifest")["command"] == "tune"
         assert got == README_TUNE_MODE
         tuned = json.loads((out / "tuned_config.json").read_text())
+        assert tuned.pop("manifest")["command"] == "tune"
         assert tuned == README_TUNED_CONFIG
+        loaded = LatticeConfig.from_json(out / "tuned_config.json")
+        assert loaded.to_dict() == README_TUNED_CONFIG
         assert abs(tuned["pendants"][0]["g"] - SCAN60_G) < 1e-12
         assert abs(got["kappa0"] - SCAN60_KAPPA0) < 1e-12
         assert abs(got["omega0"] - SCAN60_OMEGA0) < 1e-12
@@ -306,6 +310,16 @@ def manifest_csv(grid, omega_range):
     pytest.param(RESOLVE, manifest_csv("x", "1.40:1.55"), id="manifest-grid-not-int"),
     pytest.param(RESOLVE, manifest_csv(400, [1.40, 1.55]),
                  id="manifest-range-not-string"),
+    pytest.param(["find-mode", "--config", CASE2, "--kappa-range=-0.25:0.25",
+                  "--omega-range", "nan:1.7", "--out", "TMP/out"], None,
+                 id="range-nan"),
+    pytest.param(CASE2_BRANCH + ["--kappa-range", "0:inf"], None, id="range-inf"),
+    pytest.param(["transmission", "--config", CASE2, "--kappa", "nan",
+                  "--omega-range", "1.4:1.55", "--out", "TMP/out"], None,
+                 id="kappa-nan"),
+    pytest.param(["transmission", "--config", CASE2, "--kappa", "0.02",
+                  "--omega-range", "1.4:inf", "--out", "TMP/out"], None,
+                 id="transmission-range-inf"),
 ])
 def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
     """Malformed command-line input is a config error, not a traceback."""
@@ -313,6 +327,19 @@ def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
         (tmp_path / "input").write_text(text)
     assert run([a.replace("TMP", str(tmp_path)) for a in argv]) == 4
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["find-mode", "--config", CASE2, "--kappa-range", "0:0.1",
+                  "--omega-range", "30:40"], id="find-mode-above-band"),
+    pytest.param(["dispersion", "--config", CASE2, "--kappa-range=-0.25:0.25",
+                  "--omega-range", "1e6:2e6"], id="dispersion-above-band"),
+])
+def test_dispersion_residual_exit_3(tmp_path, capsys, argv):
+    """Order wavenumbers that miss the lattice dispersion relation, far above
+    the band, are a numerical failure, not a traceback."""
+    assert run(argv + ["--out", str(tmp_path)]) == 3
+    assert "dispersion residual" in capsys.readouterr().err
 
 
 @contextlib.contextmanager

@@ -3,7 +3,6 @@ import pytest
 
 from slabresonance import (
     SpectralPoint,
-    classify_case,
     extract_background,
     extract_coefficients,
     fit_zero_curve,
@@ -14,13 +13,22 @@ from slabresonance.expansion import (
     ZERO_TOL,
     ExpansionCoefficients,
     _classify_linear,
-    convexity_gap,
+    _sample_curve,
     sample_radius,
     triple_sampler,
 )
 from slabresonance.errors import ConvergenceError
-from slabresonance.modes import GuidedMode, _omega_newton
+from slabresonance.modes import GuidedMode, _omega_newton, omega_root
 from slabresonance.scattering import solve_scattering
+
+
+def convexity_gap(r0, t0, r1, t1) -> float:
+    """r0^2 (Re r1)^2 + t0^2 (Re t1)^2 - (r0^2 Re r1 + t0^2 Re t1)^2.
+
+    Nonnegative whenever r0^2 + t0^2 = 1, zero iff Re r1 = Re t1.
+    """
+    mean = r0**2 * np.real(r1) + t0**2 * np.real(t1)
+    return float(r0**2 * np.real(r1) ** 2 + t0**2 * np.real(t1) ** 2 - mean**2)
 
 
 def synthetic_mode():
@@ -89,6 +97,21 @@ class TestFitZeroCurve:
             om_m, _ = _omega_newton(f, case2_mode.kappa0 - kt,
                                     case2_mode.omega0, ZERO_TOL, ZERO_MAX_ITER)
             assert abs(om_p - om_m) < 1e-9
+
+    def test_eigval_samples_are_dispersion_roots(self, mode_case):
+        """The eigenvalue's zero curve is the complex dispersion relation.
+
+        Each of its twelve samples is, bit for bit, the ``omega_root`` of the
+        tracked eigenvalue at kappa0 + kt from omega0, anchored at the mode.
+        """
+        config, mode = mode_case
+        kts, oms = _sample_curve(triple_sampler(config, mode, "eigval"), mode,
+                                 sample_radius(config, mode))
+        roots = [omega_root(mode.kappa0 + kt, mode.omega0, config,
+                            mode.nullvector, ZERO_TOL, ZERO_MAX_ITER).omega
+                 for kt in kts]
+        assert len(roots) == 12
+        assert oms.tolist() == roots
 
 
 class TestCoefficients:
@@ -162,10 +185,10 @@ class TestCoefficients:
 
 class TestClassify:
     def test_symmetric_is_case2(self, coeffs_case2):
-        assert classify_case(coeffs_case2) == 2
+        assert coeffs_case2.case == 2
 
     def test_tuned_is_case1(self, coeffs_case1):
-        assert classify_case(coeffs_case1) == 1
+        assert coeffs_case1.case == 1
 
     def test_synthetic_nonzero_linear(self):
         assert _classify_linear(0.3, 1e-8) == 1

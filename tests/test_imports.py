@@ -1,5 +1,5 @@
 """Every name a package module imports at module level is used there, and
-every module-level private function has a caller.
+every module-level function has a caller in the package.
 
 No linter runs on the package, so a refactor that deletes the last use of an
 imported name or a helper would leave it behind unnoticed.  Lines marked
@@ -35,20 +35,41 @@ def test_module_imports_are_used(path):
     assert not unused, f"{path.name} imports unused names: {unused}"
 
 
-def test_private_functions_are_referenced():
-    """Every module-level ``_private`` function is referenced by another
-    top-level statement of some package module, so a refactor that deletes a
-    helper's last caller cannot leave the helper behind."""
-    defined, used = [], set()
+def _functions_and_references():
+    """(module, name) of every module-level function, the names each other
+    top-level statement of a package module references, and the names its
+    ``from .x import f`` statements bring in, ``__init__`` included."""
+    defined, used, imported = [], set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
             names |= {sub.attr for sub in ast.walk(node)
                       if isinstance(sub, ast.Attribute)}
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+            if isinstance(node, ast.FunctionDef):
                 defined.append((path.name, node.name))
                 names.discard(node.name)  # a recursive call is no caller
+            if isinstance(node, ast.ImportFrom):
+                imported |= {alias.name for alias in node.names}
             used |= names
-    dead = [f"{module}:{name}" for module, name in defined if name not in used]
+    return defined, used, imported
+
+
+def test_private_functions_are_referenced():
+    """Every module-level ``_private`` function is referenced by another
+    top-level statement of some package module, so a refactor that deletes a
+    helper's last caller cannot leave the helper behind."""
+    defined, used, _ = _functions_and_references()
+    dead = [f"{module}:{name}" for module, name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in used]
     assert not dead, f"private functions nothing references: {dead}"
+
+
+def test_public_functions_are_referenced():
+    """Every module-level public function is referenced by another top-level
+    statement of some package module, an import into ``__init__`` included,
+    so a public function that only tests call cannot stay in the package."""
+    defined, used, imported = _functions_and_references()
+    dead = [f"{module}:{name}" for module, name in defined
+            if not name.startswith("_") and name not in used | imported]
+    assert not dead, f"public functions nothing references: {dead}"
