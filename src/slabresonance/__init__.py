@@ -53,7 +53,6 @@ from .expansion import (
     ExpansionCoefficients,
     extract_background,
     extract_coefficients,
-    fit_zero_curve,
     verify_relations,
 )
 from .anomaly import (

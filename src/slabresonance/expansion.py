@@ -20,8 +20,10 @@ import numpy as np
 from .errors import ConvergenceError
 from .lattice import LatticeConfig, SpectralPoint, wood_distance
 from .modes import GuidedMode, _omega_newton
-from .scattering import coefficient_triple, eigen_branch, solve_scattering
+# eigen_branch is unused, but perfbench/selftest.py expects its tracer to wrap it here
+from .scattering import coefficient_triple, eigen_branch, solve_scattering  # noqa: F401
 
+MEMBERS = ("eigval", "refl", "trans")  # the triple, in zero-curve column order
 N_ANGLES = 6
 ZERO_TOL = 5e-13
 ZERO_MAX_ITER = 60
@@ -84,24 +86,6 @@ class ExpansionCoefficients:
         }
 
 
-def triple_sampler(config: LatticeConfig, mode: GuidedMode, part: str):
-    """Sampler f(kappa, omega) of one member of the analytic triple.
-
-    ``part`` names the ``CoefficientTriple`` field: ``"eigval"``, ``"refl"``
-    or ``"trans"``.  f takes an array of frequencies at one kappa, makes one
-    call anchored at the mode null vector and returns one value per row:
-    ``eigen_branch`` for the eigenvalue, which needs no scattering solve,
-    else ``coefficient_triple``.
-    """
-    def f(kappa, omega):
-        point = SpectralPoint(kappa, omega)
-        if part == "eigval":
-            return eigen_branch(point, config, mode.nullvector)[0]
-        return getattr(coefficient_triple(point, config, mode.nullvector), part)
-
-    return f
-
-
 def sample_radius(config: LatticeConfig, mode: GuidedMode) -> float:
     """Fit-circle radius: inside the analyticity domain with margin.
 
@@ -121,16 +105,37 @@ def _fit(kts, oms, omega0, degree):
     return coef, resid
 
 
-def _sample_curve(f, mode: GuidedMode, radius: float):
+def _sample_curves(config: LatticeConfig, mode: GuidedMode, radius: float):
+    """Zero curves of the three members of the triple, on two circles.
+
+    At each kt on circles of ``radius`` and ``radius / 2`` (N_ANGLES points
+    each) the eigval, refl and trans zeros are three rows of one
+    ``modes._omega_newton`` call from omega0: each step is one
+    ``coefficient_triple`` call on the live rows' stencils, anchored at the
+    mode null vector, and row i reads member i.  Returns (kts, oms), oms
+    holding one column per member; a failed row raises ConvergenceError.
+    """
+    def triple(kappa, stencils, rows):
+        values = coefficient_triple(SpectralPoint(kappa, stencils.ravel()),
+                                    config, mode.nullvector)
+        return [getattr(values, MEMBERS[r])[3 * j:3 * j + 3]
+                for j, r in enumerate(rows)]
+
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
     kts, oms = [], []
     for rad in (radius, radius / 2.0):
         for th in angles:
             kt = rad * np.exp(1j * th)
-            om, _ = _omega_newton(f, mode.kappa0 + kt, mode.omega0,
-                                  ZERO_TOL, ZERO_MAX_ITER)
+            roots, _, errors = _omega_newton(triple, mode.kappa0 + kt,
+                                             np.full(3, mode.omega0),
+                                             ZERO_TOL, ZERO_MAX_ITER)
+            for member, err in zip(MEMBERS, errors):
+                if err is not None:
+                    raise ConvergenceError(
+                        f"{member} zero curve at kt={kt:.6g}: "
+                        f"{type(err).__name__}: {err}") from err
             kts.append(kt)
-            oms.append(om)
+            oms.append(roots)
     return np.array(kts), np.array(oms)
 
 
@@ -148,20 +153,6 @@ def _fit_with_errors(kts, oms, omega0, degree, radius):
     c_in, _ = _fit(kts[N_ANGLES:], oms[N_ANGLES:], omega0, degree)
     errors = np.maximum(np.abs(c_out - coef), np.abs(c_in - coef)) + resid
     return coef, errors, resid
-
-
-def fit_zero_curve(f, mode: GuidedMode, degree: int, radius: float):
-    """Fit omega(kt) = omega0 - c1*kt - c2*kt^2 (- c3*kt^3) on two circles.
-
-    ``f(kappa, omega)`` takes an array of frequencies at one kappa and
-    returns one value per row; each sample is its ``modes._omega_newton``
-    root from omega0, and a failed one raises ConvergenceError.  Returns
-    (coefs, errors, resid): arrays of fitted coefficients c1..c_degree and
-    per-coefficient error estimates from circle consistency plus the max fit
-    residual.  Twelve samples on circles of ``radius`` and ``radius / 2``.
-    """
-    kts, oms = _sample_curve(f, mode, radius)
-    return _fit_with_errors(kts, oms, mode.omega0, degree, radius)
 
 
 def _richardson(values):
@@ -248,17 +239,20 @@ def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
     """Full coefficient extraction: three zero curves plus background."""
     if radius is None:
         radius = sample_radius(config, mode)
-    kts, oms = _sample_curve(triple_sampler(config, mode, "eigval"), mode, radius)
-    cl, el, resid3 = _fit_with_errors(kts, oms, mode.omega0, 3, radius)
-    cl2, el2, resid2 = _fit_with_errors(kts, oms, mode.omega0, 2, radius)
-    # keep the cubic only when it improves the quadratic residual 10-fold
-    if resid3 > 0.1 * resid2:
-        cl = np.append(cl2, 0j)
-        el = np.append(el2, np.inf)
-    ca, ea, _ = fit_zero_curve(triple_sampler(config, mode, "refl"), mode, 2,
-                               radius)
-    cb, eb, _ = fit_zero_curve(triple_sampler(config, mode, "trans"), mode, 2,
-                               radius)
+    kts, oms = _sample_curves(config, mode, radius)
+    cl, el, resid2 = _fit_with_errors(kts, oms[:, 0], mode.omega0, 2, radius)
+    # keep the cubic only when it passes its own guard and improves the
+    # quadratic residual 10-fold
+    try:
+        cl3, el3, resid3 = _fit_with_errors(kts, oms[:, 0], mode.omega0, 3, radius)
+    except ConvergenceError:
+        resid3 = np.inf
+    if resid3 <= 0.1 * resid2:
+        cl, el = cl3, el3
+    else:
+        cl, el = np.append(cl, 0j), np.append(el, np.inf)
+    ca, ea, _ = _fit_with_errors(kts, oms[:, 1], mode.omega0, 2, radius)
+    cb, eb, _ = _fit_with_errors(kts, oms[:, 2], mode.omega0, 2, radius)
 
     errors = {
         "l1": float(el[0]), "l2": float(el[1]), "l3": float(el[2]),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabresonance import modes, scattering
+from slabresonance import expansion, modes, scattering
 from slabresonance.cli import main
 from slabresonance.errors import ConvergenceError
 from slabresonance.lattice import LatticeConfig
@@ -329,33 +329,44 @@ def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, code, message", [
     pytest.param(["find-mode", "--config", CASE2, "--kappa-range", "0:0.1",
-                  "--omega-range", "30:40"], id="find-mode-above-band"),
+                  "--omega-range", "30:40"], 2, "find-mode: none found",
+                 id="find-mode-above-band"),
     pytest.param(["dispersion", "--config", CASE2, "--kappa-range=-0.25:0.25",
-                  "--omega-range", "1e6:2e6"], id="dispersion-above-band"),
+                  "--omega-range", "1e6:2e6"], 3, "no branch near zero",
+                 id="dispersion-above-band"),
 ])
-def test_dispersion_residual_exit_3(tmp_path, capsys, argv):
-    """Order wavenumbers that miss the lattice dispersion relation, far above
-    the band, are a numerical failure, not a traceback."""
-    assert run(argv + ["--out", str(tmp_path)]) == 3
-    assert "dispersion residual" in capsys.readouterr().err
+def test_above_band(tmp_path, capsys, argv, code, message):
+    """Far above the band the order wavenumbers meet the lattice dispersion
+    relation to a few ulp of w: no mode is found, and no branch is near zero.
+    Their residual, taken relative to max(1, |w|), is no failure."""
+    assert run(argv + ["--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "dispersion residual" not in err
 
 
 @contextlib.contextmanager
-def counted_eigen_branch():
-    """A list that gains one entry per eigen_branch call inside the block."""
-    eigen_branch = scattering.eigen_branch
+def counted_calls(name, *modules):
+    """A list that gains one entry per call of ``scattering.<name>`` inside
+    the block, made through its binding in any of ``modules``."""
+    function = getattr(scattering, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return eigen_branch(*args, **kwargs)
+        return function(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (scattering, modes):
-            patch.setattr(module, "eigen_branch", counted)
+        for module in (scattering,) + modules:
+            patch.setattr(module, name, counted)
         yield calls
+
+
+def counted_eigen_branch():
+    """A list that gains one entry per eigen_branch call inside the block."""
+    return counted_calls("eigen_branch", modes)
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +376,20 @@ def readme_tune(tmp_path_factory):
     with counted_eigen_branch() as calls:
         assert run(README_TUNE + ["--out", str(out)]) == 0
     return out, len(calls)
+
+
+@pytest.fixture(scope="module")
+def readme_analyze(tmp_path_factory):
+    """The README analyze on the reference tuned config: its output directory
+    and its coefficient_triple and eigen_branch call counts."""
+    out = tmp_path_factory.mktemp("analyze")
+    with counted_calls("coefficient_triple", expansion) as triples, \
+            counted_eigen_branch() as branches:
+        assert run(["analyze", "--config",
+                    str(REFERENCE / "tune" / "tuned_config.json"),
+                    "--kappa-range", "0.09:0.30", "--omega-range", "1.30:1.46",
+                    "--kappa-tilde", "0.01", "--out", str(out)]) == 0
+    return out, len(triples), len(branches)
 
 
 @pytest.fixture(scope="module")
@@ -413,18 +438,14 @@ class TestAnalyze:
         assert run(["analyze", "--config", CASE1_SEED, "--mode", str(mode),
                     "--out", str(tmp_path / "a")]) == 2
 
-    def test_readme_coefficients_unchanged(self, tmp_path):
+    def test_readme_coefficients_unchanged(self, readme_analyze):
         """The README analyze on the reference tuned config keeps its bits.
 
         The manifest records provenance, not results, and ``theta`` is no
         longer written; every other value must equal the reference's.
         """
         ref = REFERENCE / "analyze"
-        out = tmp_path / "a"
-        assert run(["analyze", "--config",
-                    str(REFERENCE / "tune" / "tuned_config.json"),
-                    "--kappa-range", "0.09:0.30", "--omega-range", "1.30:1.46",
-                    "--kappa-tilde", "0.01", "--out", str(out)]) == 0
+        out, _, _ = readme_analyze
         got = json.loads((out / "coefficients.json").read_text())
         want = json.loads((ref / "coefficients.json").read_text())
         assert got.pop("manifest")["params"] == want.pop("manifest")["params"]
@@ -434,6 +455,32 @@ class TestAnalyze:
         got_rows = data_rows((out / curve).read_text())
         assert got_rows == data_rows((ref / curve).read_text())
         assert len(got_rows) == 401
+
+    def test_readme_analyze_calls(self, readme_analyze):
+        """Each circle point solves the three zero curves as rows of one
+        Newton: 12 points of 4 steps.  Three separate Newtons took 96
+        coefficient_triple calls and 48 more eigen_branch calls."""
+        _, triples, branches = readme_analyze
+        assert triples <= 48
+        assert branches <= 1227
+
+    def test_cubic_failing_its_guard_is_dropped(self, tmp_path):
+        """A mirror-symmetric config whose eigenvalue curve passes the
+        quadratic guard but not the cubic one: the cubic is dropped, the
+        extraction succeeds, and every relation holds within 3x its error."""
+        config = tmp_path / "config.json"
+        d = -1.8625783230289665
+        config.write_text(json.dumps({"period": 4, "defects": [
+            {"x": 0, "z": 2, "d": d}, {"x": 1, "z": 2, "d": d}]}))
+        out = tmp_path / "a"
+        assert run(["analyze", "--config", str(config),
+                    "--kappa-range=-0.25:0.25",
+                    "--omega-range", "1.0308391486560233:1.7657874045041313",
+                    "--out", str(out)]) == 0
+        coeffs = json.loads((out / "coefficients.json").read_text())
+        assert coeffs["fit_errors"]["l3"] is None
+        relations = json.loads((out / "relations.json").read_text())
+        assert all(rel["ratio"] <= 3.0 for rel in relations["relations"])
 
     def test_comparison_curves(self, analyzed):
         for csv in analyzed.glob("compare_ktilde_*.csv"):
@@ -476,6 +523,29 @@ class TestValidate:
                 break
         csv.write_text("\n".join(lines) + "\n")
         assert run(["validate", "--csv", str(csv)]) == 3
+
+    def test_validate_rejects_moved_transmission(self, tmp_path, capsys):
+        """One README row with T moved by 1e-6, and R moved with it so the
+        energy identity still holds, fails the re-solve."""
+        lines = README_CURVE.read_text().splitlines()
+        i = next(i for i, l in enumerate(lines)
+                 if not l.startswith(("#", "omega")))
+        omega, t, _, phase = map(float, lines[i].split(","))
+        t += 1e-6
+        lines[i] = ",".join(f"{v:.12e}" for v in (omega, t, np.sqrt(1 - t * t),
+                                                  phase))
+        csv = tmp_path / README_CURVE.name
+        csv.write_text("\n".join(lines) + "\n")
+        assert run(["validate", "--csv", str(csv), "--config", CASE2,
+                    "--kappa", "0.02", "--rows", "400"]) == 3
+        assert "does not re-solve" in capsys.readouterr().err
+
+    def test_validate_no_data_rows(self, tmp_path, capsys):
+        header = README_CURVE.read_text().splitlines()[:2]
+        csv = tmp_path / "empty.csv"
+        csv.write_text("\n".join(header) + "\n")
+        assert run(["validate", "--csv", str(csv)]) == 3
+        assert "no data rows" in capsys.readouterr().err
 
 
 def test_transmission_tuned_config_full_swing(tmp_path, case1_tuned,

@@ -3,23 +3,24 @@ import pytest
 
 from slabresonance import (
     SpectralPoint,
+    expansion,
     extract_background,
     extract_coefficients,
-    fit_zero_curve,
     verify_relations,
 )
 from slabresonance.expansion import (
+    N_ANGLES,
     ZERO_MAX_ITER,
     ZERO_TOL,
     ExpansionCoefficients,
     _classify_linear,
-    _sample_curve,
+    _fit_with_errors,
+    _sample_curves,
     sample_radius,
-    triple_sampler,
 )
 from slabresonance.errors import ConvergenceError
-from slabresonance.modes import GuidedMode, _omega_newton, omega_root
-from slabresonance.scattering import solve_scattering
+from slabresonance.modes import _omega_newton, omega_root
+from slabresonance.scattering import coefficient_triple, solve_scattering
 
 
 def convexity_gap(r0, t0, r1, t1) -> float:
@@ -31,71 +32,78 @@ def convexity_gap(r0, t0, r1, t1) -> float:
     return float(r0**2 * np.real(r1) ** 2 + t0**2 * np.real(t1) ** 2 - mean**2)
 
 
-def synthetic_mode():
-    return GuidedMode(kappa0=0.1, omega0=1.2, nullvector=None,
-                      radiating_component=0.0, residual=0.0)
+def circle_kts(radius):
+    """The sample points of ``_sample_curves``: two circles, N_ANGLES each."""
+    angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
+    return np.array([rad * np.exp(1j * th)
+                     for rad in (radius, radius / 2.0) for th in angles])
 
 
 class TestFitZeroCurve:
     def test_exact_polynomial_recovery(self):
         c1, c2 = 0.3, 0.1 + 0.2j
-
-        def f(kappa, omega):
-            kt = kappa - 0.1
-            return (omega - 1.2) + c1 * kt + c2 * kt * kt
-
-        coef, errors, resid = fit_zero_curve(f, synthetic_mode(), 2, 0.02)
+        kts = circle_kts(0.02)
+        coef, errors, resid = _fit_with_errors(
+            kts, 1.2 - c1 * kts - c2 * kts**2, 1.2, 2, 0.02)
         assert abs(coef[0] - c1) < 1e-8
         assert abs(coef[1] - c2) < 1e-8
         assert resid < 1e-10
 
     def test_cubic_recovery(self):
-        def f(kappa, omega):
-            kt = kappa - 0.1
-            return (omega - 1.2) + 0.5 * kt - 0.7j * kt**2 + 2.0 * kt**3
-
-        coef, errors, _ = fit_zero_curve(f, synthetic_mode(), 3, 0.02)
+        kts = circle_kts(0.02)
+        oms = 1.2 - 0.5 * kts + 0.7j * kts**2 - 2.0 * kts**3
+        coef, errors, _ = _fit_with_errors(kts, oms, 1.2, 3, 0.02)
         assert abs(coef[2] - 2.0) < 1e-6
 
-    def test_sampler_leaving_its_domain_is_a_convergence_error(self):
-        """A sampler that raises after the first step fails the fit cleanly.
+    def test_sampler_leaving_its_domain_is_a_convergence_error(
+            self, case2_config, case2_mode, monkeypatch):
+        """A triple that raises after the first Newton step fails cleanly.
 
-        Its first iterate leaves the window where it is defined, so the
-        Newton step cannot be evaluated: that is a ConvergenceError, which
-        the CLI reports as a numerical failure, not a raw ArithmeticError.
+        The first iterate leaves the window where it is defined, so the
+        Newton step cannot be evaluated: that is a ConvergenceError naming
+        the circle point, which the CLI reports as a numerical failure, not
+        a raw ArithmeticError.
         """
-        def f(kappa, omega):
-            if np.any(np.abs(np.asarray(omega) - 1.2) > 1e-3):
-                raise ArithmeticError("outside the sampler's window")
-            return (omega - 1.2) + 0.5 * (kappa - 0.1)
+        calls = []
 
-        with pytest.raises(ConvergenceError, match="left the valid domain"):
-            fit_zero_curve(f, synthetic_mode(), 2, 0.02)
+        def triple(*args):
+            calls.append(None)
+            if len(calls) > 1:
+                raise ArithmeticError("outside the sampler's window")
+            return coefficient_triple(*args)
+
+        monkeypatch.setattr(expansion, "coefficient_triple", triple)
+        with pytest.raises(ConvergenceError, match="zero curve at kt=0.0"):
+            _sample_curves(case2_config, case2_mode,
+                           sample_radius(case2_config, case2_mode))
+        assert len(calls) == 2
 
     def test_symmetric_config_even_curve(self, case2_config, case2_mode):
-        f = triple_sampler(case2_config, case2_mode, "eigval")
-        coef, errors, _ = fit_zero_curve(
-            f, case2_mode, 2, sample_radius(case2_config, case2_mode))
+        radius = sample_radius(case2_config, case2_mode)
+        kts, oms = _sample_curves(case2_config, case2_mode, radius)
+        coef, errors, _ = _fit_with_errors(kts, oms[:, 0], case2_mode.omega0,
+                                           2, radius)
         assert abs(coef[0]) < errors[0], "linear coefficient should vanish"
 
     def test_case1_linear_coefficients_agree(self, case1_tuned):
         config, mode = case1_tuned
         radius = sample_radius(config, mode)
+        kts, oms = _sample_curves(config, mode, radius)
         (cl, el, _), (ca, ea, _), (cb, eb, _) = (
-            fit_zero_curve(triple_sampler(config, mode, part), mode, 2, radius)
-            for part in ("eigval", "refl", "trans")
+            _fit_with_errors(kts, oms[:, i], mode.omega0, 2, radius)
+            for i in range(3)
         )
         assert abs(cl[0] - ca[0]) < 3 * (el[0] + ea[0])
         assert abs(cl[0] - cb[0]) < 3 * (el[0] + eb[0])
 
     def test_zero_curve_even_in_case2(self, case2_config, case2_mode):
         """Roots at +-kt agree for the mirror-symmetric config."""
-        f = triple_sampler(case2_config, case2_mode, "eigval")
+        mode = case2_mode
         for kt in (0.012, 0.006 + 0.004j):
-            om_p, _ = _omega_newton(f, case2_mode.kappa0 + kt,
-                                    case2_mode.omega0, ZERO_TOL, ZERO_MAX_ITER)
-            om_m, _ = _omega_newton(f, case2_mode.kappa0 - kt,
-                                    case2_mode.omega0, ZERO_TOL, ZERO_MAX_ITER)
+            om_p, om_m = (omega_root(mode.kappa0 + s * kt, mode.omega0,
+                                     case2_config, mode.nullvector, ZERO_TOL,
+                                     ZERO_MAX_ITER).omega
+                          for s in (1, -1))
             assert abs(om_p - om_m) < 1e-9
 
     def test_eigval_samples_are_dispersion_roots(self, mode_case):
@@ -105,13 +113,31 @@ class TestFitZeroCurve:
         tracked eigenvalue at kappa0 + kt from omega0, anchored at the mode.
         """
         config, mode = mode_case
-        kts, oms = _sample_curve(triple_sampler(config, mode, "eigval"), mode,
-                                 sample_radius(config, mode))
+        kts, oms = _sample_curves(config, mode, sample_radius(config, mode))
         roots = [omega_root(mode.kappa0 + kt, mode.omega0, config,
                             mode.nullvector, ZERO_TOL, ZERO_MAX_ITER).omega
                  for kt in kts]
         assert len(roots) == 12
-        assert oms.tolist() == roots
+        assert oms[:, 0].tolist() == roots
+
+    @pytest.mark.parametrize("column, member", [(1, "refl"), (2, "trans")])
+    def test_scaled_samples_are_single_member_roots(self, mode_case, column,
+                                                    member):
+        """Solving the three zeros as rows of one Newton changes no bit.
+
+        Each sample of the scaled reflection and transmission equals the
+        ``_omega_newton`` root of that member alone from omega0.
+        """
+        config, mode = mode_case
+        kts, oms = _sample_curves(config, mode, sample_radius(config, mode))
+
+        def f(kappa, omegas):
+            return getattr(coefficient_triple(SpectralPoint(kappa, omegas),
+                                              config, mode.nullvector), member)
+
+        roots = [_omega_newton(f, mode.kappa0 + kt, mode.omega0, ZERO_TOL,
+                               ZERO_MAX_ITER)[0] for kt in kts]
+        assert oms[:, column].tolist() == roots
 
 
 class TestCoefficients:

@@ -13,7 +13,13 @@ from slabresonance import (
     order_wavenumber,
     propagating_orders,
 )
-from slabresonance.errors import ConfigError, PendantPoleError, WoodAnomalyError
+from slabresonance import lattice
+from slabresonance.errors import (
+    ConfigError,
+    PendantPoleError,
+    SlabError,
+    WoodAnomalyError,
+)
 from slabresonance.lattice import effective_potential, order_arrays, wood_distance
 
 from _oracles import eta_bisect, strip_greens
@@ -49,6 +55,20 @@ class TestOrderWavenumber:
     def test_defining_identity(self, kappa_p, omega):
         eta = order_wavenumber(kappa_p, omega)
         assert dispersion_residual(kappa_p, omega, eta) < 1e-12
+
+    def test_residual_relative_far_above_band(self, monkeypatch):
+        """At w = 327.9 the residual is a few ulp of w, not a failure.  An
+        overflowing w (a diverging Newton iterate) still fails, and so does
+        a residual over the relative tolerance."""
+        omega = 36.21390695347674
+        eta = order_wavenumber(0.0, omega)
+        assert dispersion_residual(0.0, omega, eta) / omega**2 < 1e-14
+        with np.errstate(all="ignore"), pytest.raises(
+                SlabError, match="dispersion residual nan"):
+            order_wavenumber(0.1, 2.4e303j)
+        monkeypatch.setattr(lattice, "DISPERSION_TOL", 1e-18)
+        with pytest.raises(SlabError, match="dispersion residual"):
+            order_wavenumber(0.0, omega)
 
     def test_decay_sign_for_evanescent(self):
         for kappa_p, omega in [(np.pi, 1.0), (0.0, 3.0), (2.5, 0.4)]:

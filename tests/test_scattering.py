@@ -47,6 +47,13 @@ def test_no_far_field_above_band():
         solve_scattering(SpectralPoint(0.0, 3.0), EMPTY)
 
 
+def test_strict_solve_refuses_the_mode(case2_config):
+    """At the case2 mode A is singular: the strict solve refuses it."""
+    with pytest.raises(NearSingularError) as info:
+        solve_scattering(SpectralPoint(0.0, 1.4971229592699646), case2_config)
+    assert info.value.sigma_min < 1e-12
+
+
 def test_oracle_equivalence_fixed_config():
     """Green's-function solver against the truncated-strip solver."""
     config = LatticeConfig(
