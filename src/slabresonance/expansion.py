@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .lattice import LatticeConfig, SpectralPoint, wood_distance
 from .modes import GuidedMode, _omega_newton
-# eigen_branch is unused, but perfbench/selftest.py expects its tracer to wrap it here
+# eigen_branch is unused here, but perfbench/selftest.py wraps it in this module
 from .scattering import coefficient_triple, eigen_branch, solve_scattering  # noqa: F401
 
 MEMBERS = ("eigval", "refl", "trans")  # the triple, in zero-curve column order
@@ -131,9 +131,11 @@ def _sample_curves(config: LatticeConfig, mode: GuidedMode, radius: float):
                                              ZERO_TOL, ZERO_MAX_ITER)
             for member, err in zip(MEMBERS, errors):
                 if err is not None:
-                    raise ConvergenceError(
-                        f"{member} zero curve at kt={kt:.6g}: "
-                        f"{type(err).__name__}: {err}") from err
+                    # one raising call stops all its rows with the same error
+                    what = ("zero curves" if errors.count(err) > 1
+                            else f"{member} zero curve")
+                    raise ConvergenceError(f"{what} at kt={kt:.6g}: "
+                                           f"{type(err).__name__}: {err}") from err
             kts.append(kt)
             oms.append(roots)
     return np.array(kts), np.array(oms)
@@ -241,16 +243,15 @@ def extract_coefficients(config: LatticeConfig, mode: GuidedMode,
         radius = sample_radius(config, mode)
     kts, oms = _sample_curves(config, mode, radius)
     cl, el, resid2 = _fit_with_errors(kts, oms[:, 0], mode.omega0, 2, radius)
+    cl, el = np.append(cl, 0j), np.append(el, np.inf)
     # keep the cubic only when it passes its own guard and improves the
     # quadratic residual 10-fold
     try:
-        cl3, el3, resid3 = _fit_with_errors(kts, oms[:, 0], mode.omega0, 3, radius)
+        cubic = _fit_with_errors(kts, oms[:, 0], mode.omega0, 3, radius)
+        if cubic[2] <= 0.1 * resid2:
+            cl, el, _ = cubic
     except ConvergenceError:
-        resid3 = np.inf
-    if resid3 <= 0.1 * resid2:
-        cl, el = cl3, el3
-    else:
-        cl, el = np.append(cl, 0j), np.append(el, np.inf)
+        pass
     ca, ea, _ = _fit_with_errors(kts, oms[:, 1], mode.omega0, 2, radius)
     cb, eb, _ = _fit_with_errors(kts, oms[:, 2], mode.omega0, 2, radius)
 

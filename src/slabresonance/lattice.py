@@ -205,15 +205,12 @@ def order_wavenumber(kappa_p, omega):
     if any(above.flat):
         eta[above] = np.pi + 2j * np.arccosh(root[above])
     half = np.sin(eta / 2.0)
-    resid = np.abs(half * half - w)
-    if not 4.0 * resid.max() <= DISPERSION_TOL:
-        # rounding leaves a few ulp of w, so the residual is relative to
-        # max(1, |w|); a non-finite w leaves NaN, which fails too
-        resid = 4.0 * (resid / np.maximum(1.0, np.abs(w))).max()
-        if not resid <= DISPERSION_TOL:
-            raise SlabError(
-                f"dispersion residual {resid:.2e} exceeds {DISPERSION_TOL:.0e}"
-            )
+    # relative to max(1, |w|), as rounding leaves a few ulp of w; NaN fails
+    resid = 4.0 * (np.abs(half * half - w) / np.maximum(1.0, np.abs(w))).max()
+    if not resid <= DISPERSION_TOL:
+        raise SlabError(
+            f"dispersion residual {resid:.2e} exceeds {DISPERSION_TOL:.0e}"
+        )
     return eta[()]
 
 

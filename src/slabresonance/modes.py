@@ -32,6 +32,7 @@ from .scattering import eigen_branch, order_amplitude
 IM_OMEGA_TOL = 1e-9
 ROOT_TOL = 1e-10
 ROOT_MAX_ITER = 50
+NEWTON_REACH = 10.0  # in (1 + |guess|); a row this far away (or NaN) diverged
 RADIATING_TOL = 1e-8
 # real-omega grid points on which branch_seeds looks for minima
 SEED_GRID = 120
@@ -84,10 +85,10 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
     rows still iterating, for a central difference; ``rows`` indexes them in
     ``omega_guess``, and f returns one value per frequency.  A row leaves
     when it converges or fails: a second iterate with larger |f| (a guess
-    outside the basin) fails with ConvergenceError, and a call that raises
-    stops every row in it with that error.  The step arithmetic is per row,
-    in scalars, so a row that never shares a failing call does what it would
-    do solved alone.
+    outside the basin) or more than NEWTON_REACH (1 + |guess|) from its guess
+    fails with ConvergenceError, and a call that raises stops every row in
+    it with that error.  The step arithmetic is per row, in scalars, so a
+    row that never shares a failing call does what it would do solved alone.
 
     With one guess, f is called as ``f(kappa, omegas)``; the result is
     (root, |f| at the root), or the error is raised.  If its stencil raises,
@@ -154,6 +155,9 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
                 errors[r] = ConvergenceError("omega Newton: vanishing derivative")
                 continue
             om[r] = om[r] - val / deriv
+            if not abs(om[r] - guesses[r]) <= NEWTON_REACH * (1 + abs(guesses[r])):
+                errors[r] = ConvergenceError(f"omega Newton diverged from {guesses[r]}")
+                continue
             still.append(r)
         live = still
     for r in live:

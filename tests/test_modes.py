@@ -26,7 +26,7 @@ from slabresonance.modes import (
     decay_profile,
 )
 
-from conftest import ambiguous_anchor
+from conftest import ambiguous_anchor, random_mirror_config
 
 
 class TestOmegaRoot:
@@ -90,6 +90,41 @@ def test_omega_newton_failed_call_stops_every_row():
     assert calls == [[0, 1, 2]]
     assert all(e is exc for e in errors) and len(errors) == 3
     assert list(roots) == [1.0, 1.2, 1.4]
+
+
+def test_omega_newton_stops_a_diverging_row():
+    """A row whose iterate runs away fails early; the other row converges.
+
+    Newton on 1/omega doubles omega each step while |f| falls, so the basin
+    check never fires; the row fails once it is 10 (1 + |guess|) away.
+    """
+    seen = []
+
+    def f(kappa, oms, rows):
+        seen.append(list(rows))
+        return [1.0 / st if r == 0 else st - 1.3 for st, r in zip(oms, rows)]
+
+    roots, _, errors = _omega_newton(f, 0.1, np.array([1.0, 1.2]),
+                                     ROOT_TOL, ROOT_MAX_ITER)
+    assert isinstance(errors[0], ConvergenceError)
+    assert "diverged" in str(errors[0])
+    assert sum(0 in rows for rows in seen) == 5  # omega ~ 1, 2, 4, 8, 16
+    assert errors[1] is None and abs(roots[1] - 1.3) < ROOT_TOL
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_trace_rows_do_not_overflow():
+    """On this mirror config some traced Newton rows diverge.
+
+    They used to run on until omega**2 overflowed, which printed numpy
+    RuntimeWarnings; now they stop early and the mode is still found.
+    """
+    rng = np.random.default_rng(3)
+    config = random_mirror_config(rng)
+    lo = 0.4 + rng.uniform(0, 0.8)
+    hi = lo + rng.uniform(0.3, 0.8)
+    mode = find_real_mode(config, (-0.25, 0.25), (lo, hi))
+    assert (mode.kappa0, mode.omega0) == (0.0, 1.3910556043099453)
 
 
 class TestFindRealMode:
