@@ -14,6 +14,7 @@ import argparse
 import json
 import platform
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from .errors import ConfigError, SlabError
 from .expansion import extract_coefficients, verify_relations
 from .lattice import OK, LatticeConfig, grid_status
 from .modes import (
-    GuidedMode,
     branch_seeds,
     find_real_mode,
     polish_mode,
@@ -82,12 +82,36 @@ def _write_csv(path: Path, manifest: dict, header: str, rows):
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _write_json(path: Path, manifest: dict, payload: dict):
+def _plain(value):
+    """The strict-JSON form of a report value.
+
+    A result dataclass becomes its fields, less its array fields (such as
+    ``GuidedMode.nullvector``); a complex value becomes [re, im] and a
+    non-finite float None.  Dicts, lists and tuples are walked.
+    """
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)
+                if not isinstance(getattr(value, f.name), np.ndarray)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [_plain(value.real), _plain(value.imag)]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path: Path, manifest: dict, payload, **extra):
+    """Write ``payload`` (a dict or a result dataclass) plus ``extra`` keys
+    and the manifest as strict JSON."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload)
-    payload["manifest"] = manifest
+    payload = {**_plain(payload), **_plain(extra), "manifest": manifest}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -140,10 +164,6 @@ def cmd_transmission(args) -> int:
     return EXIT_OK
 
 
-def _mode_payload(mode: GuidedMode, report: dict) -> dict:
-    return {**mode.to_dict(), "verification": report}
-
-
 def cmd_find_mode(args) -> int:
     config = LatticeConfig.from_json(args.config)
     mode = find_real_mode(config, _parse_range(args.kappa_range),
@@ -153,7 +173,7 @@ def cmd_find_mode(args) -> int:
         return EXIT_NO_MODE
     report = verify_mode(mode, config)
     out = Path(args.out) / "mode.json"
-    _write_json(out, _manifest(args, "find-mode"), _mode_payload(mode, report))
+    _write_json(out, _manifest(args, "find-mode"), mode, verification=report)
     print(out)
     return EXIT_OK
 
@@ -172,7 +192,7 @@ def cmd_tune(args) -> int:
     out_cfg = Path(args.out) / "tuned_config.json"
     _write_json(out_cfg, manifest, tuned.to_dict())
     out_mode = Path(args.out) / "mode.json"
-    _write_json(out_mode, manifest, _mode_payload(mode, report))
+    _write_json(out_mode, manifest, mode, verification=report)
     print(out_cfg)
     print(out_mode)
     return EXIT_OK
@@ -198,11 +218,9 @@ def cmd_analyze(args) -> int:
     manifest = _manifest(args, "analyze")
     outdir = Path(args.out)
     coeffs = extract_coefficients(config, mode)
-    _write_json(outdir / "coefficients.json", manifest, coeffs.to_dict())
-    relations = verify_relations(coeffs)
+    _write_json(outdir / "coefficients.json", manifest, coeffs)
     _write_json(outdir / "relations.json", manifest,
-                {"case": coeffs.case,
-                 "relations": [r.to_dict() for r in relations]})
+                {"case": coeffs.case, "relations": verify_relations(coeffs)})
     if coeffs.case == 2:
         _write_json(outdir / "fano.json", manifest,
                     fano_reduce(coeffs, args.kappa_tilde[0]))

@@ -64,27 +64,6 @@ class ExpansionCoefficients:
     def error(self, name: str) -> float:
         return self.fit_errors.get(name, np.inf)
 
-    def to_dict(self) -> dict:
-        def c(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        return {
-            "kappa0": self.kappa0,
-            "omega0": self.omega0,
-            "case": self.case,
-            "l1": c(self.l1), "l2": c(self.l2), "l3": c(self.l3),
-            "r1": c(self.r1), "r2": c(self.r2),
-            "t1": c(self.t1), "t2": c(self.t2),
-            "r0": self.r0, "t0": self.t0,
-            "eta1": self.eta1, "eta2": self.eta2, "eta": self.eta,
-            # infinite error marks a deliberately dropped coefficient
-            "fit_errors": {
-                k: (float(v) if np.isfinite(v) else None)
-                for k, v in sorted(self.fit_errors.items())
-            },
-        }
-
 
 def sample_radius(config: LatticeConfig, mode: GuidedMode) -> float:
     """Fit-circle radius: inside the analyticity domain with margin.
@@ -288,20 +267,13 @@ class Relation:
     name: str
     residual: float
     combined_error: float
+    ratio: float = field(init=False)
 
-    @property
-    def ratio(self) -> float:
-        if self.combined_error == 0:
-            return np.inf if self.residual else 0.0
-        return self.residual / self.combined_error
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "combined_error": self.combined_error,
-            "ratio": self.ratio,
-        }
+    def __post_init__(self):
+        # residual <= the sum of the relation's terms, so their rounding
+        # floor makes combined_error positive whenever residual is
+        object.__setattr__(self, "ratio", self.residual / self.combined_error
+                           if self.combined_error else 0.0)
 
 
 def verify_relations(coeffs: ExpansionCoefficients) -> list[Relation]:

@@ -67,14 +67,6 @@ class GuidedMode:
     radiating_component: float = np.nan
     residual: float = np.nan
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa0": self.kappa0,
-            "omega0": self.omega0,
-            "radiating_component": self.radiating_component,
-            "residual": self.residual,
-        }
-
 
 def _omega_newton(f, kappa, omega_guess, tol, max_iter):
     """Newton-solve f(kappa, omega) = 0 in complex omega at fixed kappa.
@@ -282,13 +274,16 @@ def _rho(kappa, om_guess, config, anchor):
 
 
 def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
-                      anchor=None):
+                      anchor=None, kappa_range=None):
     """1D Newton in kappa on the null field's radiating amplitude.
 
     Near a real point the amplitude crosses zero transversally along kappa;
     killing it kills Im omega as well (a non-radiating homogeneous solution
-    at real parameters cannot decay in time).  Returns (kappa0, sample).
+    at real parameters cannot decay in time).  Each kappa step is clipped to
+    ``kappa_range`` (LO, HI) when given, and the search stops when a step
+    cannot move.  Returns (kappa0, sample).
     """
+    lo, hi = sorted(kappa_range or (-np.inf, np.inf))
     k = float(kappa_guess)
     om = complex(omega_guess)
     vec = anchor
@@ -315,8 +310,8 @@ def polish_real_point(config: LatticeConfig, kappa_guess, omega_guess,
         if abs(du) < 1e-13:
             break
         step = float(np.clip(u / du, -0.05, 0.05))
-        k = k - step
-        if abs(step) < 1e-13 * (1.0 + abs(k)):
+        k, k_prev = min(max(k - step, lo), hi), k
+        if k == k_prev or abs(step) < 1e-13 * (1.0 + abs(k)):
             break
     _, k, _ = best
     _, samp = _rho(k, om, config, vec)
@@ -345,10 +340,11 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     """Scan a kappa grid, trace omega(kappa), return the real point if any.
 
     The branch is traced from seeds found at the first kappa; the grid
-    minimizer of |Im omega| is refined by the radiating-amplitude polisher.
-    Returns None when no point reaches |Im omega| < 1e-9.  A seed whose
-    branch cannot be traced is skipped; a polisher failure is a solver
-    failure and propagates (ConvergenceError / DispersionSignError).
+    minimizer of |Im omega| is refined by the radiating-amplitude polisher,
+    which stays in ``kappa_range``.  Returns None when no point reaches
+    |Im omega| < 1e-9.  A seed whose branch cannot be traced is skipped; a
+    polisher failure is a solver failure and propagates (ConvergenceError /
+    DispersionSignError).
     The grid has ``n_kappa`` points.  By default it has SCAN_KAPPAS, and
     when those give no mode or raise, the DENSE_KAPPAS search answers: a
     coarse trace can jump to a neighbouring root past a mode.
@@ -364,17 +360,20 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     _, samp0 = _flattest_sample([config], kappas, omega_window)[0]
     if samp0 is None:
         return None
-    return polish_mode(config, samp0.kappa, samp0.omega, samp0.vector)
+    return polish_mode(config, samp0.kappa, samp0.omega, samp0.vector,
+                       kappa_range)
 
 
 def polish_mode(config: LatticeConfig, kappa_guess, omega_guess,
-                anchor) -> GuidedMode | None:
+                anchor, kappa_range=None) -> GuidedMode | None:
     """Polish a guess into a real point; the mode there, or None if none.
 
-    None when the polished point keeps |Im omega| > 1e-9 or its null field
-    radiates more than 1e-8; a polisher failure propagates.
+    The polisher stays in ``kappa_range`` when given.  None when the polished
+    point keeps |Im omega| > 1e-9 or its null field radiates more than 1e-8;
+    a polisher failure propagates.
     """
-    kappa0, samp = polish_real_point(config, kappa_guess, omega_guess, anchor)
+    kappa0, samp = polish_real_point(config, kappa_guess, omega_guess, anchor,
+                                     kappa_range)
     if abs(samp.omega.imag) > IM_OMEGA_TOL:
         return None
     mode = _mode_from_sample(kappa0, samp, config)

@@ -1,13 +1,14 @@
 import contextlib
 import json
 import platform
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slabresonance import expansion, modes, scattering
-from slabresonance.cli import main
+from slabresonance.cli import _write_json, main
 from slabresonance.errors import ConvergenceError
 from slabresonance.lattice import LatticeConfig
 
@@ -271,6 +272,15 @@ class TestModeCommands:
         assert code == 3
         assert not (tmp_path / "mode.json").exists()
 
+    def test_tune_no_branch_exit_3(self, tmp_path, capsys):
+        """No scanned parameter value has a branch in the omega window."""
+        code = run(["tune", "--config", CASE1_SEED, "--kappa-range", "0.08:0.32",
+                    "--omega-range", "2.9:3.1", "--out", str(tmp_path)])
+        assert code == 3
+        assert ("tuner: no traceable branch in the scan interval"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "mode.json").exists()
+
     def test_invalid_config_exit_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"period": 0, "defects": []}')
@@ -284,6 +294,16 @@ CASE2_BRANCH = ["dispersion", "--config", CASE2, "--omega-range", "1.3:1.7",
                 "--out", "TMP/out"]
 CSV_HEAD = "# manifest: {}\nomega,T,R,phase_rad\n"
 RESOLVE = ["validate", "--csv", "TMP/input", "--config", CASE2, "--kappa", "0.02"]
+INPUT_CURVE = ["transmission", "--config", "TMP/input", "--kappa", "0.02",
+               "--omega-range", "1.4:1.55", "--out", "TMP/out"]
+
+
+def config_text(d="-1.9", mu="0.5", tunable='{"path": "pendants.0.mu"}'):
+    """A two-defect config with one pendant; each value is spliced in as
+    JSON text (NaN is the token Python's json reads)."""
+    return ('{"period": 3, "defects": [{"x": 0, "z": 0, "d": %s}, '
+            '{"x": 1, "z": 0, "d": -1.9}], "pendants": '
+            '[{"host": 0, "mu": %s, "g": 0.3}], "tunable": %s}' % (d, mu, tunable))
 
 
 def manifest_csv(grid, omega_range):
@@ -320,6 +340,10 @@ def manifest_csv(grid, omega_range):
     pytest.param(["transmission", "--config", CASE2, "--kappa", "0.02",
                   "--omega-range", "1.4:inf", "--out", "TMP/out"], None,
                  id="transmission-range-inf"),
+    pytest.param(INPUT_CURVE, config_text(d="NaN"), id="defect-d-nan"),
+    pytest.param(INPUT_CURVE, config_text(mu="NaN"), id="pendant-mu-nan"),
+    pytest.param(INPUT_CURVE, config_text(tunable='"defects.zero.d"'),
+                 id="tunable-index-not-int"),
 ])
 def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
     """Malformed command-line input is a config error, not a traceback."""
@@ -488,6 +512,58 @@ class TestAnalyze:
                     if not l.startswith(("#", "omega"))]
             data = np.array([[float(t) for t in l.split(",")] for l in rows])
             assert np.max(np.abs(data[:, 1] - data[:, 2])) < 0.05
+
+
+def strict_loads(text):
+    """json.loads that refuses the NaN and Infinity tokens RFC 8259 forbids."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@dataclass(frozen=True)
+class Result:
+    value: complex
+    samples: np.ndarray
+    error: float
+
+
+class TestStrictJson:
+    def test_non_finite_floats_are_null(self, tmp_path):
+        path = tmp_path / "r.json"
+        _write_json(path, {"command": "test"},
+                    {"nan": np.nan, "infs": (np.inf, -np.inf),
+                     "x": np.float64(0.1)})
+        assert strict_loads(path.read_text()) == {
+            "nan": None, "infs": [None, None], "x": 0.1,
+            "manifest": {"command": "test"}}
+
+    def test_result_dataclass(self, tmp_path):
+        """A result dataclass becomes its fields less its arrays, and a
+        complex value [re, im]; extra keys are encoded the same way."""
+        path = tmp_path / "r.json"
+        _write_json(path, {"command": "test"},
+                    Result(np.complex128(3j), np.ones(2), np.nan),
+                    extra={"z": 1 - 2j, "pair": (np.float64(-0.5), np.inf)})
+        assert strict_loads(path.read_text()) == {
+            "value": [0.0, 3.0], "error": None,
+            "extra": {"z": [1.0, -2.0], "pair": [-0.5, None]},
+            "manifest": {"command": "test"}}
+
+    def test_readme_reports(self, tmp_path, readme_tune, readme_analyze,
+                            analyzed):
+        """Every JSON file of the README pipeline, and the case-2 fano.json,
+        is strict JSON."""
+        assert run(["find-mode", "--config", CASE2, "--kappa-range=-0.25:0.25",
+                    "--omega-range", "1.3:1.7", "--out", str(tmp_path)]) == 0
+        paths = [p for d in (tmp_path, readme_tune[0], readme_analyze[0],
+                             analyzed) for p in d.glob("*.json")]
+        assert {p.name for p in paths} == {
+            "mode.json", "tuned_config.json", "coefficients.json",
+            "relations.json", "anomaly_summary.json", "fano.json"}
+        for path in paths:
+            strict_loads(path.read_text())
 
 
 class TestValidate:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from slabresonance.expansion import (
     _sample_curves,
     sample_radius,
 )
+from slabresonance.cli import _write_json
 from slabresonance.errors import ConvergenceError
 from slabresonance.modes import _omega_newton, omega_root
 from slabresonance.scattering import coefficient_triple, solve_scattering
@@ -265,15 +268,23 @@ class TestRelations:
             assert abs(orig[name] - scaled[name]) < 1e-9
 
 
-def test_coefficients_json_roundtrip(coeffs_case2):
-    data = coeffs_case2.to_dict()
-    assert data["case"] == 2
-    assert len(data["l2"]) == 2
-    # null marks a dropped coefficient; everything else must be finite
-    assert all(v is None or np.isfinite(v) for v in data["fit_errors"].values())
-    import json
+def test_coefficients_json_roundtrip(coeffs_case2, tmp_path):
+    """coefficients.json holds every field, a complex one as [re, im], and
+    null for the infinite error of a dropped coefficient."""
+    path = tmp_path / "coefficients.json"
+    _write_json(path, {}, coeffs_case2)
 
-    json.dumps(data, allow_nan=False)
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads(path.read_text(), parse_constant=refuse)
+    del data["manifest"]
+    assert data["case"] == 2
+    fields = {k: complex(*v) if isinstance(v, list) else v
+              for k, v in data.items()}
+    fields["fit_errors"] = {k: np.inf if v is None else v
+                            for k, v in data["fit_errors"].items()}
+    assert ExpansionCoefficients(**fields) == coeffs_case2
 
 
 def test_case2_l2_between_quadratic_coefficients(coeffs_case2):

@@ -483,6 +483,15 @@ def mirror_case(seed):
     return config, (-0.25, 0.25), (lo, lo + float(rng.uniform(0.3, 0.8)))
 
 
+def test_polisher_stays_in_the_kappa_range():
+    """The flattest sample of this draw is at kappa = -0.25, the edge of the
+    range, with Im omega = -1.6e-3.  The polisher's steps away from the range
+    are clipped, so it stops at the edge and no mode is found; unclipped, it
+    stepped out until its omega Newton diverged (ConvergenceError)."""
+    config, kappa_range, window = mirror_case(9)
+    assert find_real_mode(config, kappa_range, window, DENSE_KAPPAS) is None
+
+
 # a mode the dense search misses: its trace stops outside the Newton basin
 MISSED_DENSE = (
     mirror_pairs(4, (3, 2, -1.4672864296867942), (0, 1, -2.152702967554777)),

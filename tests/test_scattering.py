@@ -10,6 +10,7 @@ from slabresonance import (
     eigen_branch,
     solve_scattering,
 )
+from slabresonance.anomaly import exact_transmission
 from slabresonance.errors import NearSingularError, NoPropagatingOrderError
 from slabresonance.scattering import peak_field
 
@@ -45,6 +46,14 @@ def test_energy_conservation_random():
 def test_no_far_field_above_band():
     with pytest.raises(NoPropagatingOrderError):
         solve_scattering(SpectralPoint(0.0, 3.0), EMPTY)
+
+
+def test_grid_solve_raises_its_first_skipped_row(case2_config):
+    """1.9 has no propagating order and 2.0 sits on a Wood line; the first
+    skipped row in grid order names the error."""
+    with pytest.raises(NoPropagatingOrderError,
+                       match=r"^no-propagating-order at omega=1\.9$"):
+        exact_transmission(case2_config, 0.0, [1.45, 1.9, 2.0])
 
 
 def test_strict_solve_refuses_the_mode(case2_config):
