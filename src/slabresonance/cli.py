@@ -205,6 +205,9 @@ def cmd_analyze(args) -> int:
             with open(args.mode) as fh:
                 data = json.load(fh)
             kappa0, omega0 = data["kappa0"], data["omega0"]
+            if not ({type(kappa0), type(omega0)} <= {int, float}  # not bool
+                    and np.isfinite([kappa0, omega0]).all()):
+                raise ValueError("kappa0 and omega0 must be finite numbers")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read mode {args.mode}: {exc}") from exc
         mode = polish_mode(config, kappa0, omega0, None)

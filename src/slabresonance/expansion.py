@@ -92,12 +92,13 @@ def _sample_curves(config: LatticeConfig, mode: GuidedMode, radius: float):
     ``modes._omega_newton`` call from omega0: each step is one
     ``coefficient_triple`` call on the live rows' stencils, anchored at the
     mode null vector, and row i reads member i.  Returns (kts, oms), oms
-    holding one column per member; a failed row raises ConvergenceError.
+    holding one column per member; the first failed member raises
+    ConvergenceError.
     """
     def triple(kappa, stencils, rows):
         values = coefficient_triple(SpectralPoint(kappa, stencils.ravel()),
                                     config, mode.nullvector)
-        return [getattr(values, MEMBERS[r])[3 * j:3 * j + 3]
+        return [getattr(values, MEMBERS[r]).reshape(stencils.shape)[j]
                 for j, r in enumerate(rows)]
 
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
@@ -110,10 +111,7 @@ def _sample_curves(config: LatticeConfig, mode: GuidedMode, radius: float):
                                              ZERO_TOL, ZERO_MAX_ITER)
             for member, err in zip(MEMBERS, errors):
                 if err is not None:
-                    # one raising call stops all its rows with the same error
-                    what = ("zero curves" if errors.count(err) > 1
-                            else f"{member} zero curve")
-                    raise ConvergenceError(f"{what} at kt={kt:.6g}: "
+                    raise ConvergenceError(f"{member} zero curve at kt={kt:.6g}: "
                                            f"{type(err).__name__}: {err}") from err
             kts.append(kt)
             oms.append(roots)

@@ -10,6 +10,7 @@ instead of chasing the quadratically flat maximum of Im omega.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,29 +69,21 @@ class GuidedMode:
     residual: float = np.nan
 
 
-def _omega_newton(f, kappa, omega_guess, tol, max_iter):
+def _omega_newton(f, kappa, guesses, tol, max_iter):
     """Newton-solve f(kappa, omega) = 0 in complex omega at fixed kappa.
 
-    ``omega_guess`` is one guess or a 1-D array of independent rows, solved
-    together.  Each step is one call ``f(kappa, stencils, rows)`` on the
-    [omega, omega + h, omega - h] stencils, h = 1e-6 * (1 + |omega|), of the
-    rows still iterating, for a central difference; ``rows`` indexes them in
-    ``omega_guess``, and f returns one value per frequency.  A row leaves
-    when it converges or fails: a second iterate with larger |f| (a guess
-    outside the basin) or more than NEWTON_REACH (1 + |guess|) from its guess
-    fails with ConvergenceError, and a call that raises stops every row in
-    it with that error.  The step arithmetic is per row, in scalars, so a
-    row that never shares a failing call does what it would do solved alone.
-
-    With one guess, f is called as ``f(kappa, omegas)``; the result is
-    (root, |f| at the root), or the error is raised.  If its stencil raises,
-    omega is evaluated alone: an invalid guess fails with its own error, and
-    an iterate or a stencil out of the valid domain with ConvergenceError.
-    With rows it is (roots, |f| at the roots, errors), ``errors[i]`` being
-    the exception that stopped row i, or None.
+    ``guesses`` are independent rows, solved together.  Each step is one
+    call ``f(kappa, stencils, rows)`` on the [omega, omega + h, omega - h]
+    stencils, h = 1e-6 * (1 + |omega|), of the rows still iterating, for a
+    central difference; ``rows`` indexes them in ``guesses``, and f returns
+    one value per frequency.  A row leaves when it converges or fails: a
+    second iterate with larger |f| (a guess outside the basin) or more than
+    NEWTON_REACH (1 + |guess|) from its guess fails with ConvergenceError.
+    Every row ends as it would solved alone: the step arithmetic is per row,
+    in scalars, and a call that raises is made again row by row
+    (``_row_alone``).  Returns (roots, |f| at the roots, errors),
+    ``errors[i]`` being the exception that stopped row i, or None.
     """
-    single = getattr(omega_guess, "ndim", 0) == 0  # np.ndim costs more
-    guesses = [omega_guess] if single else list(omega_guess)
     om = list(map(complex, guesses))
     size, first = [np.nan] * len(om), [np.nan] * len(om)
     errors = [None] * len(om)
@@ -105,26 +98,17 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
             hs.append(h)
             stencils += (w, w + h, w - h)
         stencils = np.array(stencils).reshape(len(live), 3)
-        alone = False  # the one guess's stencil raised
         try:
-            vals = (f(kappa, stencils[0]),) if single else f(kappa, stencils, live)
-        except (ArithmeticError, SlabError) as exc:
-            if not single:
-                for r in live:
-                    errors[r] = exc
-                live = []
-                break
-            alone = True
-            try:
-                vals = ((f(kappa, stencils[0, 0]), np.nan, np.nan),)
-            except (ArithmeticError, SlabError):
-                if it == 0:
-                    raise  # an invalid guess reports its real cause
-                raise ConvergenceError(
-                    f"omega Newton left the valid domain at omega={stencils[0, 0]}"
-                ) from None
+            vals = f(kappa, stencils, live)
+        except (ArithmeticError, SlabError):
+            vals = [_row_alone(f, kappa, stencils[n:n + 1], r, it, len(live) > 1)
+                    for n, r in enumerate(live)]
         still = []
-        for r, h, (val, fp, fm) in zip(live, hs, vals):
+        for r, h, row in zip(live, hs, vals):
+            if isinstance(row, Exception):
+                errors[r] = row
+                continue
+            val, fp, fm = row
             size[r] = current = abs(val)
             if current < tol:
                 continue
@@ -136,7 +120,7 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
                     f"(|f| {first[r]:.2e} -> {current:.2e})"
                 )
                 continue
-            if alone:
+            if fp is None:
                 errors[r] = ConvergenceError(
                     f"omega Newton derivative stencil left the valid domain "
                     f"at omega={om[r]}"
@@ -157,11 +141,23 @@ def _omega_newton(f, kappa, omega_guess, tol, max_iter):
             f"omega Newton did not converge in {max_iter} iterations "
             f"(kappa={kappa}, last |f|={size[r]:.2e})"
         )
-    if single:
-        if errors[0] is not None:
-            raise errors[0]
-        return om[0], size[0]
-    return np.array(om), np.array(size), errors
+    return om, size, errors
+
+
+def _row_alone(f, kappa, stencil, r, it, shared):
+    """Row r's stencil values at Newton step ``it`` after its call raised:
+    its own stencil's if the call was ``shared`` with other rows, else those
+    of omega alone (a width-1 stencil) with no slope (None).  If omega raises
+    too, the error that ends the row: an invalid guess's own, or later
+    ConvergenceError, as the iterate left the valid domain."""
+    if shared:
+        with contextlib.suppress(ArithmeticError, SlabError):
+            return f(kappa, stencil, [r])[0]
+    try:
+        return f(kappa, stencil[:, :1], [r])[0][0], None, None
+    except (ArithmeticError, SlabError) as exc:
+        return exc if it == 0 else ConvergenceError(
+            f"omega Newton left the valid domain at omega={stencil[0, 0]}")
 
 
 def omega_root(kappa, omega_guess, config: LatticeConfig,
@@ -169,19 +165,22 @@ def omega_root(kappa, omega_guess, config: LatticeConfig,
                max_iter: int = ROOT_MAX_ITER) -> DispersionSample:
     """Newton-solve the tracked eigenvalue to zero in omega at fixed kappa.
 
-    ``_omega_newton`` on ``eigen_branch``: the stencil rows are tracked from
-    the eigenvector at omega, which anchors the next step.  For real kappa
-    the root must satisfy Im omega <= 1e-9; a violation is a branch or model
-    error and raises.
+    ``_omega_newton`` on ``eigen_branch`` with one row: the stencil rows are
+    tracked from the eigenvector at omega, which anchors the next step.  For
+    real kappa the root must satisfy Im omega <= 1e-9; a violation is a
+    branch or model error and raises.
     """
     vec = anchor
 
-    def branch(k, oms):
+    def branch(k, oms, rows):
         nonlocal vec
-        ell, vec = eigen_branch(SpectralPoint(k, oms), config, vec)
-        return ell
+        ell, vec = eigen_branch(SpectralPoint(k, oms[0]), config, vec)
+        return (ell,)
 
-    om, residual = _omega_newton(branch, kappa, omega_guess, tol, max_iter)
+    (om,), (residual,), (error,) = _omega_newton(branch, kappa, [omega_guess],
+                                                 tol, max_iter)
+    if error is not None:
+        raise error
     if np.imag(np.asarray(kappa)) == 0 and om.imag > IM_OMEGA_TOL:
         raise DispersionSignError(
             f"Im omega = {om.imag:.3e} > 0 at real kappa={kappa}"
@@ -424,13 +423,13 @@ def _lockstep(configs, owners, kappas, seeds):
 
     All traces advance together, one kappa at a time: the ``_omega_newton``
     rows of a step are every live trace, evaluated by one ``eigen_branch``
-    call per Newton step with the tunable parameter as a row axis.  A call
-    that raises stops all of its rows; each such row, and each row whose own
-    Newton fails, re-runs that kappa with ``_root_with_halving`` from the
-    same warm start, as ``trace_branch`` does, so every trace keeps its solo
-    bits.  Returns, per trace, its samples or the error that stopped it.  A
-    lone trace gains nothing from the lock step, so it is traced by
-    ``trace_branch`` itself, which costs less per step.
+    call per Newton step with the tunable parameter as a row axis.  Each row
+    ends as it would solved alone; a row whose Newton fails re-runs that
+    kappa with ``_root_with_halving`` from the same warm start, as
+    ``trace_branch`` does, so every trace keeps its solo bits.  Returns, per
+    trace, its samples or the error that stopped it.  A lone trace gains
+    nothing from the lock step, so it is traced by ``trace_branch`` itself,
+    which costs less per step.
     """
     if len(seeds) == 1:
         try:
@@ -446,18 +445,18 @@ def _lockstep(configs, owners, kappas, seeds):
     # eigenvector
     om = np.array(seeds, dtype=complex)
     vecs = np.zeros((len(seeds), len(base.defects)), dtype=complex)
-    # every live trace is unanchored in the first Newton call, anchored after
-    anchored = False
+    # a trace is anchored once a call has returned its vector; the rows of
+    # one call are all anchored or all not
+    anchored = np.zeros(len(seeds), dtype=bool)
 
     def branch(kappa, oms, rows):
-        nonlocal anchored
         t = live[rows]
-        anchors = newton_vecs[t] if anchored else None
-        anchored = True
+        anchors = newton_vecs[t] if anchored[t[0]] else None
         ell, newton_vecs[t] = eigen_branch(
-            SpectralPoint(kappa, oms.reshape(len(t), -1)), base, anchors,
+            SpectralPoint(kappa, oms), base, anchors,
             None if values is None else values[t])
-        return ell.reshape(oms.shape)
+        anchored[t] = True
+        return ell
 
     live = np.arange(len(seeds))
     k_prev = None
@@ -481,7 +480,7 @@ def _lockstep(configs, owners, kappas, seeds):
                     out[t] = exc
                     continue
             out[t].append(samp)
-            om[t], vecs[t] = samp.omega, samp.vector
+            om[t], vecs[t], anchored[t] = samp.omega, samp.vector, True
             still.append(t)
         live = np.array(still, dtype=int)
         k_prev = k
@@ -502,11 +501,10 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
     null field's complex order-0 amplitude over (kappa, s), which converges
     to machine precision.  The result is polished by ``polish_mode``; a
-    point it does not accept raises ConvergenceError.  Returns
-    (tuned_config, GuidedMode).
+    point it does not accept raises ConvergenceError, and a config without
+    a tunable parameter raises ConfigError.  Returns (tuned_config,
+    GuidedMode).
     """
-    if config.tunable is None:
-        raise ConvergenceError("tune_structure needs config.tunable")
     s0 = config.tunable_value
     if param_range is None:
         span = 0.5 * (1.0 + abs(s0))

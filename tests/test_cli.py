@@ -14,13 +14,15 @@ from slabresonance.lattice import LatticeConfig
 
 CASE2 = "configs/case2_symmetric.json"
 CASE1_SEED = "configs/case1_seed.json"
-# README command outputs as written by an earlier version
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+# README command outputs as written by an earlier version: a copy of the
+# files the tests read from perfbench/reference/, so the benchmark's pins can
+# change without touching a test
+REFERENCE = Path(__file__).resolve().parent / "readme"
 README_CURVE = REFERENCE / "transmission" / "transmission_kappa_+0.020000.csv"
 README_TUNE = ["tune", "--config", CASE1_SEED, "--kappa-range", "0.08:0.32",
                "--omega-range", "1.30:1.46", "--param-range", "0.05:0.8"]
 # Every value the README `tune` writes: its scan traces SCAN_KAPPAS kappa
-# points per parameter value (reference/tune/ is from an older tuner, about
+# points per parameter value (readme/tune/ is from an older tuner, about
 # 1e-12 away).
 README_TUNED_CONFIG = {
     "defects": [{"d": -3.0, "x": 0, "z": -1}, {"d": -0.9, "x": 0, "z": 0},
@@ -298,6 +300,15 @@ INPUT_CURVE = ["transmission", "--config", "TMP/input", "--kappa", "0.02",
                "--omega-range", "1.4:1.55", "--out", "TMP/out"]
 
 
+ANALYZE_MODE = ["analyze", "--config", CASE2, "--mode", "TMP/input", "--out",
+                "TMP/out"]
+
+
+def mode_text(kappa0):
+    """A mode file whose kappa0 is spliced in as JSON text."""
+    return '{"kappa0": %s, "omega0": 1.4971229592699646}' % kappa0
+
+
 def config_text(d="-1.9", mu="0.5", tunable='{"path": "pendants.0.mu"}'):
     """A two-defect config with one pendant; each value is spliced in as
     JSON text (NaN is the token Python's json reads)."""
@@ -321,6 +332,14 @@ def manifest_csv(grid, omega_range):
                   "--out", "TMP/out"], None, id="mode-missing"),
     pytest.param(["analyze", "--config", CASE2, "--mode", "TMP/input",
                   "--out", "TMP/out"], "[1, 2]\n", id="mode-not-an-object"),
+    pytest.param(ANALYZE_MODE, mode_text("null"), id="mode-kappa0-null"),
+    pytest.param(ANALYZE_MODE, mode_text('"abc"'), id="mode-kappa0-string"),
+    pytest.param(ANALYZE_MODE, mode_text("[1, 2]"), id="mode-kappa0-list"),
+    pytest.param(ANALYZE_MODE, mode_text("NaN"), id="mode-kappa0-nan"),
+    pytest.param(ANALYZE_MODE, mode_text("true"), id="mode-kappa0-bool"),
+    pytest.param(["tune", "--config", CASE2, "--kappa-range", "0:0.2",
+                  "--omega-range", "1.3:1.7", "--out", "TMP/out"], None,
+                 id="tune-no-tunable"),
     pytest.param(["validate", "--csv", "TMP/input"],
                  CSV_HEAD + "1.4,0.6,not-a-number,0.0\n", id="csv-not-a-number"),
     pytest.param(["validate", "--csv", "TMP/input"], CSV_HEAD + "1.4,0.6\n",

@@ -76,11 +76,13 @@ class TestFitZeroCurve:
             return coefficient_triple(*args)
 
         monkeypatch.setattr(expansion, "coefficient_triple", triple)
-        # the raising call held all three rows, so no member is named
-        with pytest.raises(ConvergenceError, match="^zero curves at kt=0.0"):
+        # the raising call held all three rows: each is retried on its own
+        # stencil and then at its omega alone, and the first member is named
+        with pytest.raises(ConvergenceError, match="^eigval zero curve at "
+                           "kt=0.02.*left the valid domain"):
             _sample_curves(case2_config, case2_mode,
                            sample_radius(case2_config, case2_mode))
-        assert len(calls) == 2
+        assert len(calls) == 2 + 3 * 2
 
     def test_symmetric_config_even_curve(self, case2_config, case2_mode):
         radius = sample_radius(case2_config, case2_mode)
@@ -135,12 +137,12 @@ class TestFitZeroCurve:
         config, mode = mode_case
         kts, oms = _sample_curves(config, mode, sample_radius(config, mode))
 
-        def f(kappa, omegas):
-            return getattr(coefficient_triple(SpectralPoint(kappa, omegas),
-                                              config, mode.nullvector), member)
+        def f(kappa, stencils, rows):
+            return [getattr(coefficient_triple(SpectralPoint(kappa, stencils[0]),
+                                               config, mode.nullvector), member)]
 
-        roots = [_omega_newton(f, mode.kappa0 + kt, mode.omega0, ZERO_TOL,
-                               ZERO_MAX_ITER)[0] for kt in kts]
+        roots = [_omega_newton(f, mode.kappa0 + kt, [mode.omega0], ZERO_TOL,
+                               ZERO_MAX_ITER)[0][0] for kt in kts]
         assert oms[:, column].tolist() == roots
 
 

@@ -14,6 +14,7 @@ from slabresonance import (
 )
 from slabresonance.errors import (
     BranchCollisionError,
+    ConfigError,
     ConvergenceError,
     PendantPoleError,
 )
@@ -76,20 +77,27 @@ class TestOmegaRootErrors:
             omega_root(point.kappa, point.omega, case1_seed_config, probe)
 
 
-def test_omega_newton_failed_call_stops_every_row():
-    """A batch call that raises stops every row in it with that error."""
-    exc = PendantPoleError("injected")
+def test_omega_newton_failed_call_is_retried_per_row():
+    """A batch call that raises is made again for each row on its own
+    stencil: row 1, whose guess is invalid, fails with its own error after
+    its omega alone raises too, and rows 0 and 2 converge."""
     calls = []
 
     def f(kappa, oms, rows):
-        calls.append(list(rows))
-        raise exc
+        calls.append((list(rows), oms.shape[1]))
+        if 1 in rows:
+            raise PendantPoleError("injected")
+        return [st * st - 2.0 for st in oms]
 
     roots, _, errors = _omega_newton(f, 0.1, np.array([1.0, 1.2, 1.4]),
                                      ROOT_TOL, ROOT_MAX_ITER)
-    assert calls == [[0, 1, 2]]
-    assert all(e is exc for e in errors) and len(errors) == 3
-    assert list(roots) == [1.0, 1.2, 1.4]
+    assert calls[:5] == [([0, 1, 2], 3), ([0], 3), ([1], 3), ([1], 1),
+                         ([2], 3)]
+    assert calls[5] == ([0, 2], 3)
+    assert all(1 not in rows for rows, _ in calls[5:])
+    assert isinstance(errors[1], PendantPoleError) and roots[1] == 1.2
+    assert errors[0] is None and abs(roots[0] - np.sqrt(2.0)) < ROOT_TOL
+    assert errors[2] is None and abs(roots[2] - np.sqrt(2.0)) < ROOT_TOL
 
 
 def test_omega_newton_stops_a_diverging_row():
@@ -246,7 +254,7 @@ class TestTuner:
         assert abs(mode.omega0 - ref_mode.omega0) < 1e-10
 
     def test_requires_tunable(self, case2_config):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConfigError, match="no tunable parameter"):
             tune_structure(case2_config, (-0.2, 0.2), (1.3, 1.7))
 
 

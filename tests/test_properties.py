@@ -38,6 +38,8 @@ from slabresonance.lattice import OK, interaction_matrix
 from slabresonance.modes import (
     DENSE_KAPPAS,
     IM_OMEGA_TOL,
+    ROOT_MAX_ITER,
+    ROOT_TOL,
     SCAN_KAPPAS,
     SEED_GRID,
     _smallest_eig_moduli,
@@ -371,6 +373,51 @@ def test_lockstep_scan_equals_solo_traces(seed):
             assert_same_samples([gs], [ws])
 
 
+@examples(80)
+@given(SEEDS)
+def test_omega_newton_rows_end_as_solved_alone(seed):
+    """Each row of a batched ``_omega_newton`` gets the root, |f| and error
+    it gets solved alone, whichever calls raise.
+
+    Row r solves omega^2 = c_r and raises at Re omega > cut_r: never, at the
+    midpoint between its guess and its root, before its guess, or on its
+    guess's derivative stencil only.  Besides, the calls in ``faults`` raise
+    whenever they hold more than one row.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    guesses = rng.uniform(0.3, 3.0, n) + 1j * rng.uniform(-0.3, 0.3, n)
+    targets = rng.uniform(0.3, 3.0, n) + 1j * rng.uniform(-0.3, 0.3, n)
+    midpoints = 0.5 * (guesses.real + np.sqrt(targets).real)
+    cuts = np.choose(rng.integers(0, 4, n), [
+        np.full(n, np.inf), midpoints, guesses.real - 0.1,
+        guesses.real + 0.5e-6])
+    faults = set(rng.choice(8, size=int(rng.integers(0, 4)), replace=False))
+
+    def value(r, w):
+        if w.real > cuts[r]:
+            raise PendantPoleError(f"row {r} raises at omega={w}")
+        return w * w - targets[r]
+
+    calls = []
+
+    def batch(kappa, stencils, rows):
+        calls.append(rows)
+        if len(rows) > 1 and len(calls) - 1 in faults:
+            raise ArithmeticError("injected failure of a shared call")
+        return [[value(r, w) for w in row] for r, row in zip(rows, stencils)]
+
+    roots, sizes, errors = modes._omega_newton(batch, 0.1, guesses, ROOT_TOL,
+                                               ROOT_MAX_ITER)
+    for r in range(n):
+        (root,), (size,), (error,) = modes._omega_newton(
+            lambda k, stencils, rows: [[value(r, w) for w in stencils[0]]],
+            0.1, guesses[r:r + 1], ROOT_TOL, ROOT_MAX_ITER)
+        assert roots[r] == root
+        assert sizes[r] == size or np.isnan([sizes[r], size]).all()
+        assert (type(errors[r]), str(errors[r])) == (type(error), str(error))
+
+
 def assert_lockstep_equals_traces(configs, owners, kappas, seeds):
     """Each lock-step trace is trace_branch on its config and seed."""
     got = modes._lockstep(configs, owners, kappas, seeds)
@@ -424,23 +471,24 @@ def test_lockstep_row_whose_trace_fails(monkeypatch):
 
 
 def lockstep_fallbacks(monkeypatch):
-    """Record the kappa of every _root_with_halving call _lockstep makes."""
-    kappas = []
+    """Record (kappa, config) of every _root_with_halving call _lockstep
+    makes."""
+    calls = []
     solo = modes._root_with_halving
 
     def recorded(k_prev, om, vec, k, config, depth=6):
         if sys._getframe(1).f_code.co_name == "_lockstep":
-            kappas.append(k)
+            calls.append((k, config))
         return solo(k_prev, om, vec, k, config, depth)
 
     monkeypatch.setattr(modes, "_root_with_halving", recorded)
-    return kappas
+    return calls
 
 
-def test_lockstep_failed_call_falls_back_per_row(monkeypatch):
-    """A batched eigen_branch call that raises at a later kappa stops all of
-    its rows: each re-runs that kappa on the solo path, once, and every
-    trace keeps the bits of trace_branch."""
+def test_lockstep_failed_call_is_retried_per_row(monkeypatch):
+    """A batched eigen_branch call that raises at a later kappa is made again
+    for each of its rows on its own stencil: no row reaches the solo path,
+    and every trace keeps the bits of trace_branch."""
     config = replace(CASE1_SEED, tunable="pendants.0.g")
     configs = [config.with_tunable(g) for g in (0.3, 0.4, 0.5)]
     kappas = np.linspace(0.08, 0.32, 12)
@@ -458,21 +506,24 @@ def test_lockstep_failed_call_falls_back_per_row(monkeypatch):
     fallbacks = lockstep_fallbacks(monkeypatch)
     got = assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
     assert failed == [3]
-    assert fallbacks == [kappas[5]] * 3
+    assert fallbacks == []
     assert all(len(trace) == len(kappas) for trace in got)
 
 
-def test_lockstep_batch_with_a_pendant_pole_row():
+def test_lockstep_batch_with_a_pendant_pole_row(monkeypatch):
     """One trace starts on its own pendant pole: the batch evaluation raises
-    and stops every row in it; each re-runs the first kappa on the solo path,
-    where that trace fails as trace_branch does and the others carry on."""
+    and is made again for each row.  That trace fails as trace_branch does;
+    the other two, unanchored in their first calls and anchored after, stay
+    in the lock step and never reach the solo path at the first kappa."""
     config = replace(CASE1_SEED, tunable="pendants.0.mu")
     configs = [config.with_tunable(mu) for mu in (0.5, 0.6, 0.7)]
     kappas = np.linspace(0.08, 0.32, 12)
     seeds = [1.39, float(np.sqrt(0.6)), 1.39]
+    fallbacks = lockstep_fallbacks(monkeypatch)
     got = assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
     assert isinstance(got[1], PendantPoleError)
     assert isinstance(got[0], list) and isinstance(got[2], list)
+    assert [c for k, c in fallbacks if k == kappas[0]] == [configs[1]]
 
 
 def mirror_case(seed):
