@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 no-mode-found, 3 numerical failure, 4 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -48,6 +49,9 @@ EXIT_CONFIG = 4
 
 FLOAT_FMT = "{:.12e}"
 MANIFEST_PREFIX = "# manifest: "
+# validate's snap to the grid compares about this many (pick, grid) pairs
+# at a time (512 kB of distances): larger tables cost more time and memory
+SNAP_CELLS = 1 << 16
 
 
 def _fmt(x) -> str:
@@ -71,15 +75,18 @@ def _manifest(args, command: str) -> dict:
 
 
 def _write_csv(path: Path, manifest: dict, header: str, rows):
+    """Write the manifest, the header and ``rows`` in one write: a string
+    row as it is (a comment), any other as ``_fmt`` writes each value, in one
+    format operation per row."""
+    lines = [MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True), header]
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+        else:
+            lines.append(",".join([FLOAT_FMT] * len(row)).format(*map(float, row)))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(MANIFEST_PREFIX + json.dumps(manifest, sort_keys=True) + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            if isinstance(row, str):
-                fh.write(row + "\n")  # warning/comment row
-            else:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _plain(value):
@@ -250,6 +257,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _nearest(grid, omegas):
+    """Index of the grid point nearest each omega, the first one on a tie
+    (as ``argmin``), in chunks of omegas that keep each table of distances
+    to about SNAP_CELLS entries."""
+    chunks = np.array_split(omegas, 1 + len(omegas) * len(grid) // SNAP_CELLS)
+    return np.concatenate([np.abs(np.subtract.outer(chunk, grid)).argmin(axis=1)
+                           for chunk in chunks])
+
+
 def cmd_validate(args) -> int:
     rng = np.random.default_rng(args.seed)
     path = Path(args.csv)
@@ -271,9 +287,10 @@ def cmd_validate(args) -> int:
     if not rows:
         print("validate: no data rows", file=sys.stderr)
         return EXIT_NUMERICAL
-    worst = 0.0
-    for _, t, r in rows:
-        worst = max(worst, abs(r * r + t * t - 1.0))
+    om_csv, t_csv, r_csv = np.array(rows).T
+    # fmax skips NaN residuals, as max() over Python floats from 0.0 does
+    worst = np.fmax.reduce(np.abs(r_csv * r_csv + t_csv * t_csv - 1.0),
+                           initial=0.0)
     print(f"validate: {len(rows)} rows, worst energy residual {worst:.3e}")
     if worst > 1e-10:
         print("validate: energy identity violated", file=sys.stderr)
@@ -289,21 +306,27 @@ def cmd_validate(args) -> int:
                               "positive integer")
         grid = (np.linspace(*_parse_range(params["omega_range"]), n)
                 if "omega_range" in params and n is not None else None)
-        omegas = [rows[i][0] for i in picks]
+        omegas = om_csv[picks]
         if grid is not None:
-            omegas = [grid[np.argmin(np.abs(grid - om))] for om in omegas]
+            omegas = grid[_nearest(grid, omegas)]
         sol = solve_grid(args.kappa[0], omegas, config)
-        for j, i in enumerate(picks):
+        t = sol.transmission
+        failed = (sol.status != OK) | (
+            np.abs(np.hypot(t.real, t.imag) - t_csv[picks]) > 1e-9)
+        if failed.any():
+            j = int(np.argmax(failed))  # the first failure in pick order
             sol.raise_skipped([j])
-            if abs(abs(sol.transmission[j]) - rows[i][1]) > 1e-9:
-                print(f"validate: row omega={float(sol.omega[j])} does not re-solve",
-                      file=sys.stderr)
-                return EXIT_NUMERICAL
+            print(f"validate: row omega={float(sol.omega[j])} does not re-solve",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
         print(f"validate: {len(picks)} rows re-solved OK")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="slabresonance",
         description="Lattice-slab scattering, guided modes and transmission "
@@ -365,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "kappa_tilde", "skip") is None:
         args.kappa_tilde = [0.01, -0.01]
     try:

@@ -181,11 +181,20 @@ def omega_root(kappa, omega_guess, config: LatticeConfig,
                                                  tol, max_iter)
     if error is not None:
         raise error
-    if np.imag(np.asarray(kappa)) == 0 and om.imag > IM_OMEGA_TOL:
-        raise DispersionSignError(
+    sign = _sign_error(kappa, om)
+    if sign is not None:
+        raise sign
+    return DispersionSample(kappa, om, residual, vec)
+
+
+def _sign_error(kappa, om):
+    """The DispersionSignError of a root omega with Im omega > IM_OMEGA_TOL
+    at real kappa, or None."""
+    if om.imag > IM_OMEGA_TOL and np.imag(np.asarray(kappa)) == 0:
+        return DispersionSignError(
             f"Im omega = {om.imag:.3e} > 0 at real kappa={kappa}"
         )
-    return DispersionSample(kappa, om, residual, vec)
+    return None
 
 
 def _root_with_halving(k_prev, om, vec, k, config, depth=6):
@@ -426,7 +435,10 @@ def _lockstep(configs, owners, kappas, seeds):
     call per Newton step with the tunable parameter as a row axis.  Each row
     ends as it would solved alone; a row whose Newton fails re-runs that
     kappa with ``_root_with_halving`` from the same warm start, as
-    ``trace_branch`` does, so every trace keeps its solo bits.  Returns, per
+    ``trace_branch`` does, so every trace keeps its solo bits.  Where
+    ``_root_with_halving`` would only raise again (at the first kappa, or an
+    error it does not halve on), the row's own error, or the
+    DispersionSignError of its root, stops the trace.  Returns, per
     trace, its samples or the error that stopped it.  A lone trace gains
     nothing from the lock step, so it is traced by ``trace_branch`` itself,
     which costs less per step.
@@ -468,14 +480,18 @@ def _lockstep(configs, owners, kappas, seeds):
                                                  ROOT_MAX_ITER)
         still = []
         for n, t in enumerate(live):
-            if errors[n] is None and not roots[n].imag > IM_OMEGA_TOL:
+            error = errors[n] or _sign_error(k, roots[n])
+            if error is None:
                 samp = DispersionSample(k, roots[n], residuals[n],
                                         newton_vecs[t].copy())
+            elif k_prev is None or not isinstance(
+                    error, (ConvergenceError, BranchCollisionError)):
+                out[t] = error  # what omega_root raises; halving cannot help
+                continue
             else:
                 try:
-                    samp = _root_with_halving(
-                        k_prev, om[t], None if k_prev is None else vecs[t], k,
-                        configs[owners[t]])
+                    samp = _root_with_halving(k_prev, om[t], vecs[t], k,
+                                              configs[owners[t]])
                 except (ArithmeticError, SlabError) as exc:
                     out[t] = exc
                     continue

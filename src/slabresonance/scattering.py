@@ -35,8 +35,12 @@ from .lattice import (
 )
 
 COND_LIMIT = 1e12
-# rows per batched evaluation; bounds the (rows, orders, k, k) temporaries
-BLOCK = 64
+# a batch row whose ||A||_F ||A^-1||_F is below COND_LIMIT / COND_MARGIN
+# passes the conditioning test without an SVD (see _conditioning)
+COND_MARGIN = 10.0
+# rows per batched evaluation: every README and benchmark grid is one block,
+# and a huge grid still bounds the (rows, orders, k, k) temporaries
+BLOCK = 512
 
 SKIP_ERRORS = {
     WOOD_ANOMALY: WoodAnomalyError,
@@ -98,15 +102,52 @@ class CoefficientTriple:
     trans: complex
 
 
+def _svd_test(a):
+    """(sigma_min < sigma_max / COND_LIMIT, sigma_min) per leading row."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    return svals[..., -1] < svals[..., 0] / COND_LIMIT, svals[..., -1]
+
+
+def _conditioning(a, strict):
+    """The SVD test of ``_svd_test``, decomposing only the rows it can fail.
+
+    A single matrix, or any with ``strict``, is decomposed, so its sigma_min
+    is exact.  A stack of rows first gets, from one batched inverse, the bound
+    ||A||_F ||A^-1||_F >= sigma_max / sigma_min, and only rows where it is not
+    below COND_LIMIT / COND_MARGIN are decomposed; the others get NaN for
+    sigma_min.  Every row skipped is one the SVD test passes, so each row's
+    verdict is exactly the SVD's: its cond_2 is at most the bound, below
+    1e11, where the rounding of the inverse and of the singular values moves
+    the bound and the SVD's ratio by about cond_2 * eps (< 1e-4) relative,
+    far inside the margin of 10.  An inverse that raises LinAlgError (a row
+    with an exactly zero pivot) sends every row through the SVD.
+    """
+    if a.ndim == 2 or strict:
+        return _svd_test(a)
+    rows = a.shape[:-2]
+    singular, sigma_min = np.zeros(rows, dtype=bool), np.full(rows, np.nan)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        check = np.ones(rows, dtype=bool)
+    else:
+        bound = (np.linalg.norm(a, axis=(-2, -1))
+                 * np.linalg.norm(inv, axis=(-2, -1)))
+        check = ~(bound < COND_LIMIT / COND_MARGIN)  # NaN is checked too
+    if check.any():
+        singular[check], sigma_min[check] = _svd_test(a[check])
+    return singular, sigma_min
+
+
 def _solve_sites(a, rhs, strict):
     """Site field solving A psi = rhs, and sigma_min of A, per leading row.
 
     A row with sigma_min < sigma_max / COND_LIMIT is refused with ``strict``
-    and otherwise gets the minimum-norm least-squares solution.
+    and otherwise gets the minimum-norm least-squares solution.  Without
+    ``strict``, a stack of rows takes an SVD only where a cheaper bound cannot
+    clear that test, and sigma_min is NaN elsewhere (see ``_conditioning``).
     """
-    svals = np.linalg.svd(a, compute_uv=False)
-    sigma_min = svals[..., -1]
-    singular = sigma_min < svals[..., 0] / COND_LIMIT
+    singular, sigma_min = _conditioning(a, strict)
     if not singular.any():
         return np.linalg.solve(a, rhs[..., None])[..., 0], sigma_min
     if strict:
@@ -203,7 +244,9 @@ def solve_grid(kappa: float, omegas, config: LatticeConfig) -> GridSolution:
     Each solved row equals the single-point solve bit for bit.  A row where
     that would raise WoodAnomalyError, NoPropagatingOrderError or
     PendantPoleError is skipped and its reason kept in ``status``.  Rows are
-    evaluated BLOCK at a time.
+    evaluated BLOCK at a time, so a grid of up to 512 rows is one evaluation,
+    and the conditioning test takes an SVD only of the rows a norm bound
+    cannot clear (see ``_conditioning``).
     """
     kappa, omegas = float(kappa), np.asarray(omegas, dtype=float)
     status = grid_status(kappa, omegas, config)

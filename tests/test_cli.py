@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabresonance import expansion, modes, scattering
-from slabresonance.cli import _write_json, main
+from slabresonance import cli, expansion, modes, scattering
+from slabresonance.cli import FLOAT_FMT, _write_csv, _write_json, build_parser, main
 from slabresonance.errors import ConvergenceError
 from slabresonance.lattice import LatticeConfig
 
@@ -635,12 +635,113 @@ class TestValidate:
                     "--kappa", "0.02", "--rows", "400"]) == 3
         assert "does not re-solve" in capsys.readouterr().err
 
+    # the order in which validate --rows 400 --seed 0 re-solves the README
+    # curve's data rows, and the grid it snaps them to
+    PICKS = np.random.default_rng(0).choice(400, size=400, replace=False)
+    GRID = np.linspace(1.40, 1.55, 400)
+
+    def moved_curve(self, tmp_path, moved):
+        """The README curve with T moved by 1e-6 (R with it, so the energy
+        identity holds) on the data rows ``moved``."""
+        lines = README_CURVE.read_text().splitlines()
+        for i in moved:
+            omega, t, _, phase = map(float, lines[2 + i].split(","))
+            t += 1e-6
+            lines[2 + i] = ",".join(FLOAT_FMT.format(v) for v in (
+                omega, t, np.sqrt(1 - t * t), phase))
+        csv = tmp_path / README_CURVE.name
+        csv.write_text("\n".join(lines) + "\n")
+        return csv
+
+    def validate_all_rows(self, csv, config=CASE2):
+        return run(["validate", "--csv", str(csv), "--config", str(config),
+                    "--kappa", "0.02", "--rows", "400"])
+
+    def test_validate_names_the_first_failure_in_pick_order(self, tmp_path,
+                                                            capsys):
+        """Of two moved rows, the message names the one picked first, which
+        comes later in the file."""
+        first = self.PICKS[0]
+        other = next(i for i in self.PICKS if i < first)
+        assert self.validate_all_rows(self.moved_curve(tmp_path,
+                                                       [other, first])) == 3
+        err = capsys.readouterr().err
+        assert f"row omega={self.GRID[first]} does not re-solve" in err
+        assert str(self.GRID[other]) not in err
+
+    @pytest.mark.parametrize("skipped_first", [True, False])
+    def test_validate_skipped_row_by_pick_order(self, tmp_path, capsys,
+                                               skipped_first):
+        """Re-solved with a zero-coupling pendant whose pole sits on one
+        picked row's omega, that row is skipped and every other row re-solves
+        unchanged.  With one more row moved, whichever of the two is picked
+        first decides the exit-3 message."""
+        skipped, moved = self.PICKS[:2] if skipped_first else self.PICKS[1::-1]
+        config = json.loads(Path(CASE2).read_text())
+        config["pendants"] = [{"host": 0, "mu": self.GRID[skipped] ** 2, "g": 0.0}]
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(config))
+        assert self.validate_all_rows(self.moved_curve(tmp_path, [moved]),
+                                      path) == 3
+        err = capsys.readouterr().err
+        assert ("[PendantPoleError]" in err) == skipped_first
+        assert ("does not re-solve" in err) != skipped_first
+
+    def test_validate_energy_residual_as_the_row_loop(self, tmp_path, capsys):
+        """The worst residual is max() over the rows' Python floats from 0.0,
+        which passes over a NaN row."""
+        lines = README_CURVE.read_text().splitlines()
+        lines[5] = lines[5].replace(lines[5].split(",")[1], "nan")
+        csv = tmp_path / README_CURVE.name
+        csv.write_text("\n".join(lines) + "\n")
+        worst = 0.0
+        for line in lines[2:]:
+            _, t, r, _ = map(float, line.split(","))
+            worst = max(worst, abs(r * r + t * t - 1.0))
+        assert run(["validate", "--csv", str(csv)]) == 0
+        assert f"worst energy residual {worst:.3e}" in capsys.readouterr().out
+
     def test_validate_no_data_rows(self, tmp_path, capsys):
         header = README_CURVE.read_text().splitlines()[:2]
         csv = tmp_path / "empty.csv"
         csv.write_text("\n".join(header) + "\n")
         assert run(["validate", "--csv", str(csv)]) == 3
         assert "no data rows" in capsys.readouterr().err
+
+
+def test_parser_is_reused_after_an_argparse_exit(tmp_path):
+    """The parser is built once; an argparse error leaves it usable."""
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["transmission", "--config", CASE2])  # no --kappa
+    assert main(["validate", "--csv", str(README_CURVE)]) == 0
+
+
+@pytest.mark.parametrize("cells", [cli.SNAP_CELLS, 4])
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 2.0, 5), np.linspace(2.0, 0.0, 5),
+                                  np.linspace(1.0, 1.0, 3), np.array([0.7])])
+def test_nearest_grid_point_as_argmin(monkeypatch, grid, cells):
+    """validate's snap equals argmin per omega, ties and NaN included, also
+    when it is split into chunks."""
+    monkeypatch.setattr(cli, "SNAP_CELLS", cells)
+    omegas = np.array([0.25, 0.5, 1.0, 1.25, -3.0, 9.0, np.nan, 0.7, 1.75, 0.0])
+    assert cli._nearest(grid, omegas).tolist() == [
+        int(np.argmin(np.abs(grid - om))) for om in omegas]
+    assert cli._nearest(grid, omegas[:0]).tolist() == []
+
+
+def test_write_csv_formats_every_value_as_float_fmt(tmp_path):
+    """Non-finite values, -0.0 and numpy scalars are written as FLOAT_FMT
+    writes them; a string row is written as it is."""
+    rows = [(np.nan, np.inf, -np.inf, -0.0),
+            (np.float64(1.5), np.float32(0.1), np.int64(3), 7),
+            "# a comment row"]
+    path = tmp_path / "out" / "t.csv"
+    _write_csv(path, {"command": "t"}, "a,b,c,d", rows)
+    assert path.read_text().splitlines() == [
+        '# manifest: {"command": "t"}', "a,b,c,d",
+        *(",".join(FLOAT_FMT.format(x) for x in row) for row in rows[:2]),
+        "# a comment row"]
 
 
 def test_transmission_tuned_config_full_swing(tmp_path, case1_tuned,

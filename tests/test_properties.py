@@ -34,7 +34,7 @@ from slabresonance.errors import (
     SlabError,
     WoodAnomalyError,
 )
-from slabresonance.lattice import OK, interaction_matrix
+from slabresonance.lattice import OK, evaluate_point, interaction_matrix
 from slabresonance.modes import (
     DENSE_KAPPAS,
     IM_OMEGA_TOL,
@@ -48,12 +48,13 @@ from slabresonance.modes import (
     trace_branch,
     verify_mode,
 )
-from slabresonance.scattering import SKIP_ERRORS, solve_grid
+from slabresonance.scattering import COND_LIMIT, SKIP_ERRORS, solve_grid
 
 from _oracles import strip_solve
 
 from conftest import (
     CASE1_SEED,
+    CASE2,
     mirror_pairs,
     random_lossless_config,
     random_mirror_config,
@@ -171,6 +172,37 @@ def test_grid_special_rows(case2_config, case2_mode, case1_seed_config):
     pole = np.sqrt(case1_seed_config.pendants[0].mu)
     grid = assert_grid_matches_points(0.2, [pole, 0.75, 0.8], case1_seed_config)
     assert list(grid.status) == ["pendant-pole", OK, OK]
+
+
+@examples(10)
+@given(SEEDS)
+def test_grid_takes_lstsq_exactly_where_the_svd_test_fails(case2_config,
+                                                           case2_mode, seed):
+    """Near the case2 mode, at offsets that put cond_2(A) between 1e8 and
+    1e14, plus the mode row itself: each solve_grid row is the single-point
+    solve, and goes to lstsq exactly where the SVD test calls A singular,
+    although most rows of the block skip the SVD."""
+    rng = np.random.default_rng(seed)
+    kappa, om0 = case2_mode.kappa0, case2_mode.omega0
+    # cond_2(A) is about 0.4 / |omega - omega0| here
+    offsets = rng.choice([-1, 1], 24) * 10 ** rng.uniform(np.log10(4e-15),
+                                                         np.log10(4e-9), 24)
+    omegas = np.concatenate([om0 + offsets, [om0], rng.uniform(1.42, 1.52, 8)])
+    a = evaluate_point(SpectralPoint(kappa, omegas), case2_config)[2]
+    svals = np.linalg.svd(a, compute_uv=False)
+    expected = np.flatnonzero(svals[:, -1] < svals[:, 0] / COND_LIMIT)
+    lstsq, solved = np.linalg.lstsq, []
+
+    def recorded(m, b, rcond=None):
+        solved.append(m.tobytes())
+        return lstsq(m, b, rcond=rcond)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", recorded)
+        solve_grid(kappa, omegas, case2_config)
+    assert solved == [a[i].tobytes() for i in expected]
+    assert 24 in expected  # the mode row
+    assert_grid_matches_points(kappa, omegas, case2_config)
 
 
 @examples(25)
@@ -512,9 +544,10 @@ def test_lockstep_failed_call_is_retried_per_row(monkeypatch):
 
 def test_lockstep_batch_with_a_pendant_pole_row(monkeypatch):
     """One trace starts on its own pendant pole: the batch evaluation raises
-    and is made again for each row.  That trace fails as trace_branch does;
-    the other two, unanchored in their first calls and anchored after, stay
-    in the lock step and never reach the solo path at the first kappa."""
+    and is made again for each row.  That trace fails as trace_branch does,
+    with its own error; the other two, unanchored in their first calls and
+    anchored after, stay in the lock step.  No trace reaches the solo path
+    at the first kappa."""
     config = replace(CASE1_SEED, tunable="pendants.0.mu")
     configs = [config.with_tunable(mu) for mu in (0.5, 0.6, 0.7)]
     kappas = np.linspace(0.08, 0.32, 12)
@@ -523,7 +556,29 @@ def test_lockstep_batch_with_a_pendant_pole_row(monkeypatch):
     got = assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
     assert isinstance(got[1], PendantPoleError)
     assert isinstance(got[0], list) and isinstance(got[2], list)
-    assert [c for k, c in fallbacks if k == kappas[0]] == [configs[1]]
+    assert [c for k, c in fallbacks if k == kappas[0]] == []
+
+
+@pytest.mark.parametrize("kappas, seeds, im_tol, ends", [
+    (np.linspace(0.0, 0.2, 6), [0.3, 1.0, 1.5], IM_OMEGA_TOL,
+     [ConvergenceError, ConvergenceError, list]),
+    (np.linspace(0.0, 0.2, 6), [1.45, 1.5], -1e-4,
+     [DispersionSignError, DispersionSignError]),
+    (np.linspace(0.2, 0.0, 6), [1.45, 1.5, 1.0], -5e-4,
+     [DispersionSignError, DispersionSignError, ConvergenceError]),
+], ids=["basin-lost-at-first-kappa", "sign-at-first-kappa",
+        "sign-at-a-later-kappa"])
+def test_lockstep_stores_errors_halving_cannot_mend(monkeypatch, kappas, seeds,
+                                                   im_tol, ends):
+    """On case2, a trace whose Newton fails at the first kappa (guesses 0.3
+    and 1.0 lie outside every basin), or whose root breaks the dispersion
+    sign (forced by a negative IM_OMEGA_TOL), ends with that row's own
+    error, the one trace_branch raises, and no solo re-solve."""
+    monkeypatch.setattr(modes, "IM_OMEGA_TOL", im_tol)
+    fallbacks = lockstep_fallbacks(monkeypatch)
+    got = assert_lockstep_equals_traces([CASE2], [0] * len(seeds), kappas, seeds)
+    assert [type(trace) for trace in got] == ends
+    assert fallbacks == []
 
 
 def mirror_case(seed):

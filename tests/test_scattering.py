@@ -12,7 +12,7 @@ from slabresonance import (
 )
 from slabresonance.anomaly import exact_transmission
 from slabresonance.errors import NearSingularError, NoPropagatingOrderError
-from slabresonance.scattering import peak_field
+from slabresonance.scattering import _solve_sites, peak_field
 
 from _oracles import strip_solve
 
@@ -61,6 +61,22 @@ def test_strict_solve_refuses_the_mode(case2_config):
     with pytest.raises(NearSingularError) as info:
         solve_scattering(SpectralPoint(0.0, 1.4971229592699646), case2_config)
     assert info.value.sigma_min < 1e-12
+
+
+def test_exactly_singular_row_sends_the_stack_through_the_svd():
+    """The batched inverse raises on a row with an exact zero pivot, so every
+    row gets the SVD test: each equals its single-matrix solve, sigma_min
+    included, and the singular row its least-squares solution."""
+    a = np.array([np.eye(2), [[1.0, 0.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 1.0]]],
+                 dtype=complex)
+    rhs = np.array([[1.0, 2.0], [1.0, 1j], [0.5, -1.0]], dtype=complex)
+    psi, sigma_min = _solve_sites(a, rhs, strict=False)
+    for i in range(3):
+        want_psi, want_sigma = _solve_sites(a[i], rhs[i], strict=False)
+        assert psi[i].tobytes() == want_psi.tobytes()
+        assert sigma_min[i] == want_sigma
+    assert sigma_min[1] == 0.0
+    assert psi[1].tobytes() == np.linalg.lstsq(a[1], rhs[1], rcond=None)[0].tobytes()
 
 
 def test_oracle_equivalence_fixed_config():
