@@ -15,6 +15,7 @@ import functools
 import json
 import platform
 import sys
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -49,9 +50,6 @@ EXIT_CONFIG = 4
 
 FLOAT_FMT = "{:.12e}"
 MANIFEST_PREFIX = "# manifest: "
-# validate's snap to the grid compares about this many (pick, grid) pairs
-# at a time (512 kB of distances): larger tables cost more time and memory
-SNAP_CELLS = 1 << 16
 
 
 def _fmt(x) -> str:
@@ -257,69 +255,69 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _nearest(grid, omegas):
-    """Index of the grid point nearest each omega, the first one on a tie
-    (as ``argmin``), in chunks of omegas that keep each table of distances
-    to about SNAP_CELLS entries."""
-    chunks = np.array_split(omegas, 1 + len(omegas) * len(grid) // SNAP_CELLS)
-    return np.concatenate([np.abs(np.subtract.outer(chunk, grid)).argmin(axis=1)
-                           for chunk in chunks])
-
-
 def cmd_validate(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    if (args.config is None) != (args.kappa is None):
+        missing = "--kappa" if args.kappa is None else "--config"
+        raise ConfigError(f"validate re-solves rows with --config and --kappa: "
+                          f"{missing} is missing")
     path = Path(args.csv)
-    rows = []
-    params = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith(MANIFEST_PREFIX):
-                    manifest = json.loads(line[len(MANIFEST_PREFIX):])
-                    params = manifest.get("params", {})
-                if not line or line.startswith("#") or line.startswith("omega"):
-                    continue
-                om, t, r, *_ = map(float, line.split(","))
-                rows.append((om, t, r))
+    try:  # _write_csv's layout: a manifest line, the header, rows, skip comments
+        lines = path.read_text().splitlines()
+        head = lines[0] if lines else ""
+        manifest = (json.loads(head[len(MANIFEST_PREFIX):])
+                    if head.startswith(MANIFEST_PREFIX) else {})
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            om_csv, t_csv, r_csv = np.loadtxt(
+                lines, delimiter=",", comments=("#", "omega"), usecols=(0, 1, 2),
+                ndmin=2).T
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}") from exc
-    if not rows:
+    params = manifest.get("params", {}) if isinstance(manifest, dict) else None
+    if not isinstance(params, dict):
+        raise ConfigError(f"CSV {path}: the manifest and its params must be "
+                          "JSON objects")
+    if not len(om_csv):
         print("validate: no data rows", file=sys.stderr)
         return EXIT_NUMERICAL
-    om_csv, t_csv, r_csv = np.array(rows).T
     # fmax skips NaN residuals, as max() over Python floats from 0.0 does
     worst = np.fmax.reduce(np.abs(r_csv * r_csv + t_csv * t_csv - 1.0),
                            initial=0.0)
-    print(f"validate: {len(rows)} rows, worst energy residual {worst:.3e}")
+    print(f"validate: {len(om_csv)} rows, worst energy residual {worst:.3e}")
     if worst > 1e-10:
         print("validate: energy identity violated", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.config and args.kappa is not None:
-        config = LatticeConfig.from_json(args.config)
-        picks = rng.choice(len(rows), size=min(args.rows, len(rows)),
-                           replace=False)
-        # the CSV rounds omega to 13 digits; re-solve on the exact grid point
-        n = params.get("grid")
-        if n is not None and (not isinstance(n, int) or n < 1):
-            raise ConfigError(f"CSV {path}: manifest grid {n!r} is not a "
-                              "positive integer")
-        grid = (np.linspace(*_parse_range(params["omega_range"]), n)
-                if "omega_range" in params and n is not None else None)
-        omegas = om_csv[picks]
-        if grid is not None:
-            omegas = grid[_nearest(grid, omegas)]
-        sol = solve_grid(args.kappa[0], omegas, config)
-        t = sol.transmission
-        failed = (sol.status != OK) | (
-            np.abs(np.hypot(t.real, t.imag) - t_csv[picks]) > 1e-9)
-        if failed.any():
-            j = int(np.argmax(failed))  # the first failure in pick order
+    if args.config is None:
+        return EXIT_OK
+    config = LatticeConfig.from_json(args.config)
+    picks = np.random.default_rng(args.seed).choice(
+        len(om_csv), size=min(args.rows, len(om_csv)), replace=False)
+    omegas = om_csv[picks]
+    off_grid = np.zeros(len(picks), dtype=bool)
+    n = params.get("grid")
+    if n is not None and (type(n) is not int or n < 1):  # a bool is no grid
+        raise ConfigError(f"CSV {path}: manifest grid {n!r} is not a "
+                          "positive integer")
+    if "omega_range" in params and n is not None:
+        # a row holds its grid point as FLOAT_FMT printed it: re-solve on that
+        # point, the first one where two print alike
+        grid = np.linspace(*_parse_range(params["omega_range"]), n)
+        index = {float(_fmt(g)): i for i, g in reversed(list(enumerate(grid)))}
+        at = np.array([index.get(om, -1) for om in omegas.tolist()], dtype=int)
+        off_grid = at < 0
+        omegas = np.where(off_grid, omegas, grid[at])
+    sol = solve_grid(args.kappa, omegas, config)
+    t = sol.transmission
+    failed = off_grid | (sol.status != OK) | (
+        np.abs(np.hypot(t.real, t.imag) - t_csv[picks]) > 1e-9)
+    if failed.any():
+        j = int(np.argmax(failed))  # the first failure in pick order
+        if not off_grid[j]:
             sol.raise_skipped([j])
-            print(f"validate: row omega={float(sol.omega[j])} does not re-solve",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"validate: {len(picks)} rows re-solved OK")
+        reason = "is not on the manifest grid" if off_grid[j] else "does not re-solve"
+        print(f"validate: row omega={float(sol.omega[j])} {reason}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    print(f"validate: {len(picks)} rows re-solved OK")
     return EXIT_OK
 
 
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check energy identity in a CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--config")
-    p.add_argument("--kappa", type=float, action="append")
+    p.add_argument("--kappa", type=float)
     p.add_argument("--rows", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)

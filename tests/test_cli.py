@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabresonance import cli, expansion, modes, scattering
+from slabresonance import expansion, modes, scattering
 from slabresonance.cli import FLOAT_FMT, _write_csv, _write_json, build_parser, main
 from slabresonance.errors import ConvergenceError
 from slabresonance.lattice import LatticeConfig
@@ -319,8 +319,12 @@ def config_text(d="-1.9", mu="0.5", tunable='{"path": "pendants.0.mu"}'):
 
 def manifest_csv(grid, omega_range):
     """A one-row transmission CSV whose manifest records this omega grid."""
-    params = json.dumps({"params": {"grid": grid, "omega_range": omega_range}})
-    return f"# manifest: {params}\nomega,T,R,phase_rad\n1.4,0.6,0.8,0.0\n"
+    return manifest_text({"params": {"grid": grid, "omega_range": omega_range}})
+
+
+def manifest_text(manifest):
+    """A one-row transmission CSV with this manifest."""
+    return f"# manifest: {json.dumps(manifest)}\nomega,T,R,phase_rad\n1.4,0.6,0.8,0.0\n"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -349,6 +353,13 @@ def manifest_csv(grid, omega_range):
     pytest.param(RESOLVE, manifest_csv("x", "1.40:1.55"), id="manifest-grid-not-int"),
     pytest.param(RESOLVE, manifest_csv(400, [1.40, 1.55]),
                  id="manifest-range-not-string"),
+    pytest.param(RESOLVE, manifest_csv(True, "1.40:1.55"), id="manifest-grid-bool"),
+    pytest.param(["validate", "--csv", "TMP/input"], manifest_text([1]),
+                 id="manifest-not-an-object"),
+    pytest.param(["validate", "--csv", "TMP/input"], manifest_text({"params": [1]}),
+                 id="manifest-params-not-an-object"),
+    pytest.param(["validate", "--csv", "TMP/input", "--config", CASE2, "--kappa",
+                  "nan"], CSV_HEAD + "1.4,0.6,0.8,0.0\n", id="validate-kappa-nan"),
     pytest.param(["find-mode", "--config", CASE2, "--kappa-range=-0.25:0.25",
                   "--omega-range", "nan:1.7", "--out", "TMP/out"], None,
                  id="range-nan"),
@@ -636,19 +647,23 @@ class TestValidate:
         assert "does not re-solve" in capsys.readouterr().err
 
     # the order in which validate --rows 400 --seed 0 re-solves the README
-    # curve's data rows, and the grid it snaps them to
+    # curve's data rows, and the grid its manifest records
     PICKS = np.random.default_rng(0).choice(400, size=400, replace=False)
     GRID = np.linspace(1.40, 1.55, 400)
 
-    def moved_curve(self, tmp_path, moved):
+    def moved_curve(self, tmp_path, moved, shifted=()):
         """The README curve with T moved by 1e-6 (R with it, so the energy
-        identity holds) on the data rows ``moved``."""
+        identity holds) on the data rows ``moved``, and omega moved by a
+        tenth of the grid step (T and R kept) on the data rows ``shifted``."""
         lines = README_CURVE.read_text().splitlines()
-        for i in moved:
-            omega, t, _, phase = map(float, lines[2 + i].split(","))
-            t += 1e-6
-            lines[2 + i] = ",".join(FLOAT_FMT.format(v) for v in (
-                omega, t, np.sqrt(1 - t * t), phase))
+        for i in [*moved, *shifted]:
+            omega, t, r, phase = map(float, lines[2 + i].split(","))
+            if i in moved:
+                t += 1e-6
+                r = np.sqrt(1 - t * t)
+            if i in shifted:
+                omega += (self.GRID[1] - self.GRID[0]) / 10
+            lines[2 + i] = ",".join(FLOAT_FMT.format(v) for v in (omega, t, r, phase))
         csv = tmp_path / README_CURVE.name
         csv.write_text("\n".join(lines) + "\n")
         return csv
@@ -687,6 +702,35 @@ class TestValidate:
         assert ("[PendantPoleError]" in err) == skipped_first
         assert ("does not re-solve" in err) != skipped_first
 
+    @pytest.mark.parametrize("shifted_first", [True, False])
+    def test_validate_off_grid_row_fails_in_pick_order(self, tmp_path, capsys,
+                                                       shifted_first):
+        """A row whose omega is no grid point of the manifest, as FLOAT_FMT
+        prints it, fails, where it used to be re-solved at the nearest grid
+        point.  With one more row moved, whichever of the two is picked
+        first decides the exit-3 message."""
+        shifted, moved = self.PICKS[:2] if shifted_first else self.PICKS[1::-1]
+        csv = self.moved_curve(tmp_path, [moved], [shifted])
+        omega = float(data_rows(csv.read_text())[shifted].split(",")[0])
+        assert omega != float(FLOAT_FMT.format(self.GRID[shifted]))
+        assert self.validate_all_rows(csv) == 3
+        err = capsys.readouterr().err
+        assert (f"row omega={omega} is not on the manifest grid" in err) == shifted_first
+        assert (f"row omega={self.GRID[moved]} does not re-solve" in err) != shifted_first
+
+    def test_validate_takes_the_last_kappa(self):
+        """A repeated --kappa is not dropped: as with any single-valued
+        option, the last one is the one re-solved at."""
+        argv = ["validate", "--csv", str(README_CURVE), "--config", CASE2]
+        assert run(argv + ["--kappa", "0.5", "--kappa", "0.02"]) == 0
+        assert run(argv + ["--kappa", "0.02", "--kappa", "0.5"]) == 3
+
+    @pytest.mark.parametrize("given, missing", [(["--config", CASE2], "--kappa"),
+                                                (["--kappa", "0.02"], "--config")])
+    def test_validate_config_and_kappa_go_together(self, capsys, given, missing):
+        assert run(["validate", "--csv", str(README_CURVE), *given]) == 4
+        assert f"{missing} is missing" in capsys.readouterr().err
+
     def test_validate_energy_residual_as_the_row_loop(self, tmp_path, capsys):
         """The worst residual is max() over the rows' Python floats from 0.0,
         which passes over a NaN row."""
@@ -701,12 +745,16 @@ class TestValidate:
         assert run(["validate", "--csv", str(csv)]) == 0
         assert f"worst energy residual {worst:.3e}" in capsys.readouterr().out
 
-    def test_validate_no_data_rows(self, tmp_path, capsys):
+    def test_validate_no_data_rows(self, tmp_path, capsys, recwarn):
+        """A CSV with no data rows, skipped rows or not, prints its message
+        alone: no warning either, which outside pytest goes to stderr."""
         header = README_CURVE.read_text().splitlines()[:2]
         csv = tmp_path / "empty.csv"
-        csv.write_text("\n".join(header) + "\n")
-        assert run(["validate", "--csv", str(csv)]) == 3
-        assert "no data rows" in capsys.readouterr().err
+        for skips in ([], ["# wood-anomaly skip omega=1.0"]):
+            csv.write_text("\n".join(header + skips) + "\n")
+            assert run(["validate", "--csv", str(csv)]) == 3
+            assert capsys.readouterr().err == "validate: no data rows\n"
+        assert not recwarn.list
 
 
 def test_parser_is_reused_after_an_argparse_exit(tmp_path):
@@ -715,19 +763,6 @@ def test_parser_is_reused_after_an_argparse_exit(tmp_path):
     with pytest.raises(SystemExit):
         main(["transmission", "--config", CASE2])  # no --kappa
     assert main(["validate", "--csv", str(README_CURVE)]) == 0
-
-
-@pytest.mark.parametrize("cells", [cli.SNAP_CELLS, 4])
-@pytest.mark.parametrize("grid", [np.linspace(0.0, 2.0, 5), np.linspace(2.0, 0.0, 5),
-                                  np.linspace(1.0, 1.0, 3), np.array([0.7])])
-def test_nearest_grid_point_as_argmin(monkeypatch, grid, cells):
-    """validate's snap equals argmin per omega, ties and NaN included, also
-    when it is split into chunks."""
-    monkeypatch.setattr(cli, "SNAP_CELLS", cells)
-    omegas = np.array([0.25, 0.5, 1.0, 1.25, -3.0, 9.0, np.nan, 0.7, 1.75, 0.0])
-    assert cli._nearest(grid, omegas).tolist() == [
-        int(np.argmin(np.abs(grid - om))) for om in omegas]
-    assert cli._nearest(grid, omegas[:0]).tolist() == []
 
 
 def test_write_csv_formats_every_value_as_float_fmt(tmp_path):

@@ -73,3 +73,27 @@ def test_public_functions_are_referenced():
     dead = [f"{module}:{name}" for module, name in defined
             if not name.startswith("_") and name not in used | imported]
     assert not dead, f"public functions nothing references: {dead}"
+
+
+def test_constants_are_referenced():
+    """Every module-level UPPER_CASE constant is read somewhere in the
+    package, so a refactor that deletes the helper a constant tunes cannot
+    leave the constant behind."""
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for t in targets
+                            if isinstance(t, ast.Name) and t.id.isupper()]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    assert defined, "no constants found"
+    dead = [f"{module}:{name}" for module, name in defined if name not in read]
+    assert not dead, f"constants nothing references: {dead}"
