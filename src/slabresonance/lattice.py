@@ -41,6 +41,16 @@ class Pendant:
     g: float
 
 
+def _number(data, key, where, integer=False):
+    """``data[key]`` as an int or a float; a bool, a string or a fractional
+    int, which a cast would quietly turn into one, is refused."""
+    value = data[key]
+    if isinstance(value, (bool, str)) or integer and value != int(value):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{where}: {key} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Periodic slab: cell period, defect sites, pendant sites.
@@ -111,17 +121,20 @@ class LatticeConfig:
     def from_dict(cls, data: dict) -> "LatticeConfig":
         try:
             defects = tuple(
-                Defect(int(d["x"]), int(d["z"]), float(d["d"])) for d in data["defects"]
+                Defect(*(_number(d, key, f"defect {j}", key != "d") for key in "xzd"))
+                for j, d in enumerate(data["defects"])
             )
             pendants = tuple(
-                Pendant(int(p["host"]), float(p["mu"]), float(p["g"]))
-                for p in data.get("pendants", [])
+                Pendant(*(_number(p, key, f"pendant {j}", key == "host")
+                          for key in ("host", "mu", "g")))
+                for j, p in enumerate(data.get("pendants", []))
             )
             tunable = data.get("tunable")
             if tunable is not None:
                 tunable = tunable["path"] if isinstance(tunable, dict) else str(tunable)
-            return cls(int(data["period"]), defects, pendants, tunable)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(_number(data, "period", "config", True), defects, pendants,
+                       tunable)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config data: {exc}") from exc
 
     @classmethod

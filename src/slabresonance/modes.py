@@ -350,9 +350,9 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
     The branch is traced from seeds found at the first kappa; the grid
     minimizer of |Im omega| is refined by the radiating-amplitude polisher,
     which stays in ``kappa_range``.  Returns None when no point reaches
-    |Im omega| < 1e-9.  A seed whose branch cannot be traced is skipped; a
-    polisher failure is a solver failure and propagates (ConvergenceError /
-    DispersionSignError).
+    |Im omega| < 1e-9 and every branch was traced.  A branch whose trace
+    failed may hold the mode, so then ConvergenceError is raised, naming
+    each failed seed omega and its error; a polisher failure propagates.
     The grid has ``n_kappa`` points.  By default it has SCAN_KAPPAS, and
     when those give no mode or raise, the DENSE_KAPPAS search answers: a
     coarse trace can jump to a neighbouring root past a mode.
@@ -364,12 +364,20 @@ def find_real_mode(config: LatticeConfig, kappa_range, omega_window,
             mode = None
         return mode or find_real_mode(config, kappa_range, omega_window,
                                       DENSE_KAPPAS)
+    mode, failed = _grid_mode(config, kappa_range, omega_window, n_kappa)
+    if mode is None and failed:
+        raise ConvergenceError(
+            f"no mode found, but {len(failed)} branch trace(s) failed: "
+            + "; ".join(f"seed omega={seed}: {exc}" for seed, exc in failed))
+    return mode
+
+
+def _grid_mode(config, kappa_range, omega_window, n_kappa):
+    """(mode polished from an n_kappa-point trace or None, failed traces)."""
     kappas = np.linspace(kappa_range[0], kappa_range[1], n_kappa)
-    _, samp0 = _flattest_sample([config], kappas, omega_window)[0]
-    if samp0 is None:
-        return None
-    return polish_mode(config, samp0.kappa, samp0.omega, samp0.vector,
-                       kappa_range)
+    [(_, samp)], [failed] = _flattest_sample([config], kappas, omega_window)
+    return samp and polish_mode(config, samp.kappa, samp.omega, samp.vector,
+                                kappa_range), failed
 
 
 def polish_mode(config: LatticeConfig, kappa_guess, omega_guess,
@@ -391,16 +399,17 @@ def polish_mode(config: LatticeConfig, kappa_guess, omega_guess,
 
 
 def _flattest_sample(configs, kappas, omega_window, max_seeds=None):
-    """(min |Im omega|, its sample) per config, over its traced branches.
+    """(min |Im omega|, its sample) per config, over its traced branches,
+    and per config the (seed omega, error) of each branch that failed.
 
     The configs differ at most in the value of their tunable parameter.  Each
     config's branches start from its first ``max_seeds`` ``branch_seeds`` at
     kappas[0], and all of them are traced together by ``_lockstep``, each
     with the bits of ``trace_branch`` on its config and seed.  A branch that
-    raises ConvergenceError or DispersionSignError is skipped; a config with
-    no traceable branch gets (inf, None).  Any other error propagates: the
-    first one in config and seed order, as if the branches were traced one
-    after another.
+    raises ConvergenceError or DispersionSignError is left out of the
+    minimum and listed as failed; a config with no traced branch gets
+    (inf, None).  Any other error propagates: the first one in config and
+    seed order, as if the branches were traced one after another.
     """
     seeds, stop = [], None
     for config in configs:
@@ -410,11 +419,13 @@ def _flattest_sample(configs, kappas, omega_window, max_seeds=None):
             stop = exc
             break
     owners = [c for c, found in enumerate(seeds) for _ in found]
-    traces = _lockstep(configs, owners, kappas,
-                       [seed for found in seeds for seed in found])
+    flat = [seed for found in seeds for seed in found]
+    traces = _lockstep(configs, owners, kappas, flat)
     best = [(np.inf, None)] * len(configs)
-    for c, samples in zip(owners, traces):
+    failed = [[] for _ in configs]
+    for c, seed, samples in zip(owners, flat, traces):
         if isinstance(samples, (ConvergenceError, DispersionSignError)):
+            failed[c].append((seed, samples))
             continue
         if isinstance(samples, Exception):
             raise samples
@@ -424,7 +435,7 @@ def _flattest_sample(configs, kappas, omega_window, max_seeds=None):
             best[c] = (ims[i], samples[i])
     if stop is not None:
         raise stop
-    return best
+    return best, failed
 
 
 def _lockstep(configs, owners, kappas, seeds):
@@ -528,16 +539,15 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
 
     kappas = np.linspace(kappa_target_range[0], kappa_target_range[1], SCAN_KAPPAS)
 
-    # a mode may already exist at the current parameter (tuning is a no-op)
-    existing = find_real_mode(config, kappa_target_range, omega_window,
-                              SCAN_KAPPAS)
+    # a mode at the current parameter makes tuning a no-op; a failed trace retunes
+    existing, _ = _grid_mode(config, kappa_target_range, omega_window, SCAN_KAPPAS)
     if existing is not None:
         return config, existing
 
     # stage 1: coarse scan of the parameter
     svals = np.linspace(param_range[0], param_range[1], TUNE_SCAN)
-    scan = _flattest_sample([config.with_tunable(s) for s in svals], kappas,
-                            omega_window, 3)
+    scan, _ = _flattest_sample([config.with_tunable(s) for s in svals], kappas,
+                               omega_window, 3)
     i = int(np.argmin([f for f, _ in scan]))
     f_min, samp0 = scan[i]
     if not np.isfinite(f_min) or samp0 is None:

@@ -35,9 +35,7 @@ from .lattice import (
 )
 
 COND_LIMIT = 1e12
-# a batch row whose ||A||_F ||A^-1||_F is below COND_LIMIT / COND_MARGIN
-# passes the conditioning test without an SVD (see _conditioning)
-COND_MARGIN = 10.0
+COND_MARGIN = 10.0  # see _solve_sites
 # rows per batched evaluation: every README and benchmark grid is one block,
 # and a huge grid still bounds the (rows, orders, k, k) temporaries
 BLOCK = 512
@@ -102,52 +100,31 @@ class CoefficientTriple:
     trans: complex
 
 
-def _svd_test(a):
-    """(sigma_min < sigma_max / COND_LIMIT, sigma_min) per leading row."""
-    svals = np.linalg.svd(a, compute_uv=False)
-    return svals[..., -1] < svals[..., 0] / COND_LIMIT, svals[..., -1]
-
-
-def _conditioning(a, strict):
-    """The SVD test of ``_svd_test``, decomposing only the rows it can fail.
-
-    A single matrix, or any with ``strict``, is decomposed, so its sigma_min
-    is exact.  A stack of rows first gets, from one batched inverse, the bound
-    ||A||_F ||A^-1||_F >= sigma_max / sigma_min, and only rows where it is not
-    below COND_LIMIT / COND_MARGIN are decomposed; the others get NaN for
-    sigma_min.  Every row skipped is one the SVD test passes, so each row's
-    verdict is exactly the SVD's: its cond_2 is at most the bound, below
-    1e11, where the rounding of the inverse and of the singular values moves
-    the bound and the SVD's ratio by about cond_2 * eps (< 1e-4) relative,
-    far inside the margin of 10.  An inverse that raises LinAlgError (a row
-    with an exactly zero pivot) sends every row through the SVD.
-    """
-    if a.ndim == 2 or strict:
-        return _svd_test(a)
-    rows = a.shape[:-2]
-    singular, sigma_min = np.zeros(rows, dtype=bool), np.full(rows, np.nan)
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        check = np.ones(rows, dtype=bool)
-    else:
-        bound = (np.linalg.norm(a, axis=(-2, -1))
-                 * np.linalg.norm(inv, axis=(-2, -1)))
-        check = ~(bound < COND_LIMIT / COND_MARGIN)  # NaN is checked too
-    if check.any():
-        singular[check], sigma_min[check] = _svd_test(a[check])
-    return singular, sigma_min
-
-
 def _solve_sites(a, rhs, strict):
     """Site field solving A psi = rhs, and sigma_min of A, per leading row.
 
-    A row with sigma_min < sigma_max / COND_LIMIT is refused with ``strict``
-    and otherwise gets the minimum-norm least-squares solution.  Without
-    ``strict``, a stack of rows takes an SVD only where a cheaper bound cannot
-    clear that test, and sigma_min is NaN elsewhere (see ``_conditioning``).
+    Each row is decided alone: one with sigma_min < sigma_max / COND_LIMIT is
+    refused with ``strict`` and otherwise gets the minimum-norm least-squares
+    solution; the other rows share one batched LU solve.  A single matrix, or
+    any with ``strict``, is decomposed, so its sigma_min is exact.  A row of a
+    stack is decomposed only where the bound ||A||_F ||A^-1||_F >= sigma_max /
+    sigma_min (inf if A is singular) is not below COND_LIMIT / COND_MARGIN;
+    elsewhere sigma_min is NaN.  A row so skipped has cond_2 below 1e11, where
+    rounding moves the bound and the SVD's ratio by about cond_2 * eps
+    (< 1e-4) relative, far inside the margin: its verdict is the SVD's.
     """
-    singular, sigma_min = _conditioning(a, strict)
+    if a.ndim == 2 or strict:
+        svals = np.linalg.svd(a, compute_uv=False)
+        sigma_min = svals[..., -1]
+        singular = sigma_min < svals[..., 0] / COND_LIMIT
+    else:
+        check = ~(np.linalg.cond(a, "fro") < COND_LIMIT / COND_MARGIN)  # NaN too
+        singular = np.zeros(check.shape, dtype=bool)
+        sigma_min = np.full(check.shape, np.nan)
+        if check.any():
+            svals = np.linalg.svd(a[check], compute_uv=False)
+            sigma_min[check] = svals[:, -1]
+            singular[check] = svals[:, -1] < svals[:, 0] / COND_LIMIT
     if not singular.any():
         return np.linalg.solve(a, rhs[..., None])[..., 0], sigma_min
     if strict:
@@ -157,13 +134,11 @@ def _solve_sites(a, rhs, strict):
             sigma_min=worst,
         )
     k = rhs.shape[-1]
-    a, psi = a.reshape(-1, k, k), rhs.reshape(-1, k).copy()
-    for i, near in enumerate(singular.reshape(-1)):
-        if near:
-            # minimum-norm solution: the physical field up to a null component
-            psi[i] = np.linalg.lstsq(a[i], psi[i], rcond=None)[0]
-        else:
-            psi[i] = np.linalg.solve(a[i], psi[i, :, None])[:, 0]
+    a, psi, near = a.reshape(-1, k, k), rhs.reshape(-1, k).copy(), singular.ravel()
+    psi[~near] = np.linalg.solve(a[~near], psi[~near, :, None])[..., 0]
+    for i in np.flatnonzero(near):
+        # minimum-norm solution: the physical field up to a null component
+        psi[i] = np.linalg.lstsq(a[i], psi[i], rcond=None)[0]
     return psi.reshape(rhs.shape), sigma_min
 
 
@@ -244,9 +219,9 @@ def solve_grid(kappa: float, omegas, config: LatticeConfig) -> GridSolution:
     Each solved row equals the single-point solve bit for bit.  A row where
     that would raise WoodAnomalyError, NoPropagatingOrderError or
     PendantPoleError is skipped and its reason kept in ``status``.  Rows are
-    evaluated BLOCK at a time, so a grid of up to 512 rows is one evaluation,
-    and the conditioning test takes an SVD only of the rows a norm bound
-    cannot clear (see ``_conditioning``).
+    evaluated BLOCK at a time, so a grid of up to 512 rows is one evaluation.
+    Each row gets its own verdict, LU or least squares, from an SVD taken
+    only where a norm bound cannot clear the row (see ``_solve_sites``).
     """
     kappa, omegas = float(kappa), np.asarray(omegas, dtype=float)
     status = grid_status(kappa, omegas, config)

@@ -144,6 +144,15 @@ def random_mirror_config(rng, max_pairs=2):
     return mirror_pairs(period, *pairs)
 
 
+def survey_case(seed):
+    """The mirror survey's draw ``seed``: a ``random_mirror_config`` and an
+    omega window, searched over kappa in (-0.25, 0.25)."""
+    rng = np.random.default_rng(seed)
+    config = random_mirror_config(rng)
+    lo = 0.4 + rng.uniform(0, 0.8)
+    return config, (lo, lo + rng.uniform(0.3, 0.8))
+
+
 def ambiguous_anchor(point, config):
     """A unit vector overlapping none of A's eigenvectors well at ``point``.
 

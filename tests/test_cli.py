@@ -1,16 +1,19 @@
 import contextlib
 import json
 import platform
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slabresonance import expansion, modes, scattering
+from slabresonance import cli, expansion, modes, scattering
 from slabresonance.cli import FLOAT_FMT, _write_csv, _write_json, build_parser, main
-from slabresonance.errors import ConvergenceError
+from slabresonance.errors import ConfigError, ConvergenceError
 from slabresonance.lattice import LatticeConfig
+
+from conftest import survey_case
 
 CASE2 = "configs/case2_symmetric.json"
 CASE1_SEED = "configs/case1_seed.json"
@@ -309,12 +312,30 @@ def mode_text(kappa0):
     return '{"kappa0": %s, "omega0": 1.4971229592699646}' % kappa0
 
 
-def config_text(d="-1.9", mu="0.5", tunable='{"path": "pendants.0.mu"}'):
+def config_text(d="-1.9", mu="0.5", tunable='{"path": "pendants.0.mu"}',
+                period="3", x="0", z="0", host="0", g="0.3"):
     """A two-defect config with one pendant; each value is spliced in as
     JSON text (NaN is the token Python's json reads)."""
-    return ('{"period": 3, "defects": [{"x": 0, "z": 0, "d": %s}, '
+    return ('{"period": %s, "defects": [{"x": %s, "z": %s, "d": %s}, '
             '{"x": 1, "z": 0, "d": -1.9}], "pendants": '
-            '[{"host": 0, "mu": %s, "g": 0.3}], "tunable": %s}' % (d, mu, tunable))
+            '[{"host": %s, "mu": %s, "g": %s}], "tunable": %s}'
+            % (period, x, z, d, host, mu, g, tunable))
+
+
+# config numbers that a cast would quietly turn into others, and the error
+CONFIG_NUMBERS = [
+    ({"period": "2.9"}, "config: period must be an integer, got 2.9"),
+    ({"x": "1.7"}, "defect 0: x must be an integer, got 1.7"),
+    ({"z": "-0.5"}, "defect 0: z must be an integer, got -0.5"),
+    ({"host": "0.9"}, "pendant 0: host must be an integer, got 0.9"),
+    ({"period": "true"}, "config: period must be an integer, got True"),
+    ({"x": "false"}, "defect 0: x must be an integer, got False"),
+    ({"period": '"3"'}, "config: period must be an integer, got '3'"),
+    ({"host": '"0"'}, "pendant 0: host must be an integer, got '0'"),
+    ({"d": "true"}, "defect 0: d must be a number, got True"),
+    ({"mu": '"0.5"'}, "pendant 0: mu must be a number, got '0.5'"),
+    ({"g": "false"}, "pendant 0: g must be a number, got False"),
+]
 
 
 def manifest_csv(grid, omega_range):
@@ -374,6 +395,9 @@ def manifest_text(manifest):
     pytest.param(INPUT_CURVE, config_text(mu="NaN"), id="pendant-mu-nan"),
     pytest.param(INPUT_CURVE, config_text(tunable='"defects.zero.d"'),
                  id="tunable-index-not-int"),
+    *[pytest.param(INPUT_CURVE, config_text(**fields),
+                   id="config-%s-%s" % next(iter(fields.items())))
+      for fields, _ in CONFIG_NUMBERS],
 ])
 def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
     """Malformed command-line input is a config error, not a traceback."""
@@ -381,6 +405,14 @@ def test_malformed_input_exit_4(tmp_path, capsys, argv, text):
         (tmp_path / "input").write_text(text)
     assert run([a.replace("TMP", str(tmp_path)) for a in argv]) == 4
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", CONFIG_NUMBERS)
+def test_config_number_names_its_field(fields, message):
+    """A bool, a string or a fractional integer in a config is refused by
+    name; a cast used to make it a number (period 2.9 built period 2)."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        LatticeConfig.from_dict(json.loads(config_text(**fields)))
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -399,6 +431,19 @@ def test_above_band(tmp_path, capsys, argv, code, message):
     err = capsys.readouterr().err
     assert message in err
     assert "dispersion residual" not in err
+
+
+def test_find_mode_with_failed_traces_exits_3(tmp_path, capsys):
+    """Survey draw 39: the one branch trace fails, so find-mode reports a
+    numerical failure that names it, not "none found"."""
+    config, (lo, hi) = survey_case(39)
+    (tmp_path / "config.json").write_text(json.dumps(config.to_dict()))
+    assert run(["find-mode", "--config", str(tmp_path / "config.json"),
+                "--kappa-range=-0.25:0.25", f"--omega-range={lo!r}:{hi!r}",
+                "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "no mode found, but 1 branch trace(s) failed: seed omega=" in err
+    assert "none found" not in err
 
 
 @contextlib.contextmanager
@@ -717,6 +762,38 @@ class TestValidate:
         err = capsys.readouterr().err
         assert (f"row omega={omega} is not on the manifest grid" in err) == shifted_first
         assert (f"row omega={self.GRID[moved]} does not re-solve" in err) != shifted_first
+
+    @pytest.mark.parametrize("rows", [41, 2])
+    def test_validate_points_that_print_alike(self, tmp_path, rows):
+        """On a grid whose step, 1e-13, is below FLOAT_FMT's resolution,
+        runs of about ten neighbouring points print alike.  Each picked row
+        is re-solved at the first grid point that prints as its omega, as a
+        lookup over every printed point finds it, whether every row is
+        picked or two."""
+        out = tmp_path / "t"
+        omega_range = "1.4:1.400000000004"
+        assert run(["transmission", "--config", CASE2, "--kappa", "0.02",
+                    "--omega-range", omega_range, "--grid", "41",
+                    "--out", str(out)]) == 0
+        csv = next(out.glob("*.csv"))
+        grid = np.linspace(1.4, 1.400000000004, 41)
+        first = {float(FLOAT_FMT.format(g)): i
+                 for i, g in reversed(list(enumerate(grid)))}
+        assert 3 < len(first) < 10
+        omegas = [float(row.split(",")[0]) for row in data_rows(csv.read_text())]
+        picks = np.random.default_rng(0).choice(41, size=rows, replace=False)
+        solved, solve_grid = [], cli.solve_grid
+
+        def recorded(kappa, oms, config):
+            solved.extend(oms.tolist())
+            return solve_grid(kappa, oms, config)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "solve_grid", recorded)
+            assert run(["validate", "--csv", str(csv), "--config", CASE2,
+                        "--kappa", "0.02", "--rows", str(rows)]) == 0
+        assert solved == [grid[first[omegas[j]]] for j in picks]
+        assert any(first[omegas[j]] < j - 1 for j in picks)
 
     def test_validate_takes_the_last_kappa(self):
         """A repeated --kappa is not dropped: as with any single-valued

@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from slabresonance import modes
 from slabresonance import (
     Defect,
     LatticeConfig,
@@ -22,12 +26,14 @@ from slabresonance.lattice import effective_potential, greens_function, order_ar
 from slabresonance.modes import (
     ROOT_MAX_ITER,
     ROOT_TOL,
+    SEED_GRID,
+    DispersionSample,
     _omega_newton,
     branch_seeds,
     decay_profile,
 )
 
-from conftest import ambiguous_anchor, random_mirror_config
+from conftest import ambiguous_anchor, survey_case
 
 
 class TestOmegaRoot:
@@ -120,6 +126,17 @@ def test_omega_newton_stops_a_diverging_row():
     assert errors[1] is None and abs(roots[1] - 1.3) < ROOT_TOL
 
 
+def test_omega_newton_vanishing_derivative():
+    """A row whose stencil values at omega + h and omega - h agree has no
+    Newton step: it fails at its guess."""
+    roots, sizes, errors = _omega_newton(
+        lambda kappa, oms, rows: [(1.0, 2.0, 2.0) for _ in oms], 0.1, [1.2],
+        ROOT_TOL, ROOT_MAX_ITER)
+    assert isinstance(errors[0], ConvergenceError)
+    assert str(errors[0]) == "omega Newton: vanishing derivative"
+    assert (roots, sizes) == ([1.2], [1.0])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_trace_rows_do_not_overflow():
     """On this mirror config some traced Newton rows diverge.
@@ -127,11 +144,8 @@ def test_diverging_trace_rows_do_not_overflow():
     They used to run on until omega**2 overflowed, which printed numpy
     RuntimeWarnings; now they stop early and the mode is still found.
     """
-    rng = np.random.default_rng(3)
-    config = random_mirror_config(rng)
-    lo = 0.4 + rng.uniform(0, 0.8)
-    hi = lo + rng.uniform(0.3, 0.8)
-    mode = find_real_mode(config, (-0.25, 0.25), (lo, hi))
+    config, window = survey_case(3)
+    mode = find_real_mode(config, (-0.25, 0.25), window)
     assert (mode.kappa0, mode.omega0) == (0.0, 1.3910556043099453)
 
 
@@ -151,6 +165,26 @@ class TestFindRealMode:
         config = LatticeConfig(2, (Defect(0, 0, 0.0),))
         assert branch_seeds(config, 0.1, (0.5, 1.5)) == []
         assert find_real_mode(config, (-0.2, 0.2), (0.5, 1.5), n_kappa=40) is None
+
+
+# survey draws whose windows hold a real point at kappa = 0 that verify_mode
+# passes, while every trace of the dense search fails; how many traces that is
+UNTRACED = {0: 2, 13: 3, 39: 1, 44: 2, 73: 1, 82: 1}
+
+
+@pytest.mark.parametrize("seed", UNTRACED)
+def test_failed_traces_are_no_verdict(seed):
+    """Where no mode is found but branch traces failed, the search raises
+    ConvergenceError naming each failed seed omega, in seed order, and its
+    error, in place of reporting no mode."""
+    config, window = survey_case(seed)
+    with pytest.raises(ConvergenceError) as info:
+        find_real_mode(config, (-0.25, 0.25), window)
+    message = str(info.value)
+    assert message.startswith(
+        f"no mode found, but {UNTRACED[seed]} branch trace(s) failed: seed omega=")
+    named = re.findall(r"seed omega=([^:]+): omega Newton ", message)
+    assert list(map(float, named)) == branch_seeds(config, -0.25, window)
 
 
 class TestVerifyMode:
@@ -252,6 +286,61 @@ class TestTuner:
         assert abs(abs(tuned.tunable_value) - ref_config.tunable_value) < 1e-10
         assert abs(mode.kappa0 - ref_mode.kappa0) < 1e-10
         assert abs(mode.omega0 - ref_mode.omega0) < 1e-10
+
+    # case1 with mu tunable: the last scan value puts the pendant pole on a
+    # point of branch_seeds' grid, the earlier ones below the window
+    POLE = np.linspace(1.30, 1.46, SEED_GRID)[1] ** 2
+    POLE_SCAN = ((0.08, 0.32), (1.30, 1.46), (POLE - 0.6, POLE))
+
+    def test_scan_raises_a_seed_grid_pole_after_the_earlier_traces(
+            self, case1_seed_config):
+        """The scan value whose seed grid hits its pendant pole raises that
+        error only after the twelve earlier values have been traced."""
+        config = replace(case1_seed_config, tunable="pendants.0.mu")
+        traced, lockstep = [], modes._lockstep
+
+        def recorded(configs, owners, kappas, seeds):
+            traced.append(sorted(set(owners)))
+            return lockstep(configs, owners, kappas, seeds)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modes, "_lockstep", recorded)
+            with pytest.raises(PendantPoleError, match=f"mu = {self.POLE}$"):
+                tune_structure(config, *self.POLE_SCAN)
+        assert traced[-1] == list(range(12))
+
+    def test_scan_raises_an_earlier_trace_error_first(self, case1_seed_config):
+        """A trace error that is not skipped, met at an earlier scan value,
+        wins over the later value's seed-grid error."""
+        config = replace(case1_seed_config, tunable="pendants.0.mu")
+        lockstep = modes._lockstep
+
+        def injected(configs, owners, kappas, seeds):
+            out = lockstep(configs, owners, kappas, seeds)
+            if len(configs) > 1:
+                out[list(owners).index(3)] = BranchCollisionError("injected")
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modes, "_lockstep", injected)
+            with pytest.raises(BranchCollisionError, match="^injected$"):
+                tune_structure(config, *self.POLE_SCAN)
+
+    def test_gauss_newton_stall(self, case1_seed_config):
+        """A radiating amplitude that never falls below 5e-14 stops the
+        Gauss-Newton stage after its 40 rounds."""
+        rounds = []
+
+        def stuck(kappa, om_guess, config, anchor):
+            rounds.append(kappa)
+            return 1e-3 + 0j, DispersionSample(kappa, om_guess, 0.0, anchor)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modes, "_rho", stuck)
+            with pytest.raises(ConvergenceError,
+                               match=r"^tuner Gauss-Newton stalled at \|rho\| = 1\.00e-03$"):
+                tune_structure(case1_seed_config, (0.08, 0.32), (1.30, 1.46))
+        assert len(rounds) >= 40 * 5
 
     def test_requires_tunable(self, case2_config):
         with pytest.raises(ConfigError, match="no tunable parameter"):

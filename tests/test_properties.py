@@ -181,7 +181,8 @@ def test_grid_takes_lstsq_exactly_where_the_svd_test_fails(case2_config,
     """Near the case2 mode, at offsets that put cond_2(A) between 1e8 and
     1e14, plus the mode row itself: each solve_grid row is the single-point
     solve, and goes to lstsq exactly where the SVD test calls A singular,
-    although most rows of the block skip the SVD."""
+    although most rows of the block skip the SVD; all other rows are solved
+    by one batched LU call."""
     rng = np.random.default_rng(seed)
     kappa, om0 = case2_mode.kappa0, case2_mode.omega0
     # cond_2(A) is about 0.4 / |omega - omega0| here
@@ -191,16 +192,22 @@ def test_grid_takes_lstsq_exactly_where_the_svd_test_fails(case2_config,
     a = evaluate_point(SpectralPoint(kappa, omegas), case2_config)[2]
     svals = np.linalg.svd(a, compute_uv=False)
     expected = np.flatnonzero(svals[:, -1] < svals[:, 0] / COND_LIMIT)
-    lstsq, solved = np.linalg.lstsq, []
+    lstsq, solve, solved, lu = np.linalg.lstsq, np.linalg.solve, [], []
 
     def recorded(m, b, rcond=None):
         solved.append(m.tobytes())
         return lstsq(m, b, rcond=rcond)
 
+    def batched(m, b):
+        lu.append(len(m))
+        return solve(m, b)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "lstsq", recorded)
+        patch.setattr(np.linalg, "solve", batched)
         solve_grid(kappa, omegas, case2_config)
     assert solved == [a[i].tobytes() for i in expected]
+    assert lu == [len(omegas) - len(expected)]
     assert 24 in expected  # the mode row
     assert_grid_matches_points(kappa, omegas, case2_config)
 
@@ -348,18 +355,20 @@ def test_batched_coefficient_triple_equals_single_calls(seed):
 
 
 def solo_flattest(config, kappas, window, max_seeds):
-    """One config's (min |Im omega|, its sample), one trace after another."""
-    best = (np.inf, None)
+    """One config's (min |Im omega|, its sample) and failed (seed, error)
+    traces, one trace after another."""
+    best, failed = (np.inf, None), []
     for seed in branch_seeds(config, kappas[0], window)[:max_seeds]:
         try:
             samples = trace_branch(config, kappas, seed)
-        except (ConvergenceError, DispersionSignError):
+        except (ConvergenceError, DispersionSignError) as exc:
+            failed.append((seed, exc))
             continue
         ims = [abs(s.omega.imag) for s in samples]
         i = int(np.argmin(ims))
         if ims[i] < best[0]:
             best = (ims[i], samples[i])
-    return best
+    return best, failed
 
 
 def assert_same_samples(got, want):
@@ -375,8 +384,8 @@ def assert_same_samples(got, want):
 @given(SEEDS)
 def test_lockstep_scan_equals_solo_traces(seed):
     """The lock-step scan over a tunable defect d, pendant g or pendant mu
-    gives every scan value the per-trace result, or raises the error the
-    per-trace loop meets first."""
+    gives every scan value the per-trace result and failed traces, or raises
+    the error the per-trace loop meets first."""
     rng = np.random.default_rng(seed)
     config = random_lossless_config(rng)
     paths = [f"defects.{int(rng.integers(len(config.defects)))}.d"]
@@ -398,11 +407,13 @@ def test_lockstep_scan_equals_solo_traces(seed):
     if isinstance(want[0], type):
         assert got == want
         return
-    for (gf, gs), (wf, ws) in zip(got, want, strict=True):
+    for (gf, gs), gfail, ((wf, ws), wfail) in zip(*got, want, strict=True):
         assert bits(gf) == bits(wf)
         assert (gs is None) == (ws is None)
         if ws is not None:
             assert_same_samples([gs], [ws])
+        assert [(bits(seed), type(exc), str(exc)) for seed, exc in gfail] == [
+            (bits(seed), type(exc), str(exc)) for seed, exc in wfail]
 
 
 @examples(80)
@@ -661,13 +672,19 @@ def test_default_search_falls_back_to_the_dense_scan(config, window, omega0):
     search answers (``mirror_case`` seeds 89, 307 and 194).
 
     In the first two the coarse trace jumps past the mode at (0, omega0); in
-    the third the polisher steps off the kappa range from an edge sample.
+    the third the polisher steps off the kappa range from an edge sample,
+    and the dense search finds no mode but fails to trace all three of its
+    branches, so it answers with ConvergenceError.
     """
     coarse = outcome(find_real_mode, config, (-0.25, 0.25), window,
                      SCAN_KAPPAS)
     assert coarse is None or coarse[0] is ConvergenceError
-    mode = find_real_mode(config, (-0.25, 0.25), window)
     if omega0 is None:
-        assert coarse is not None and mode is None
+        assert coarse is not None
+        with pytest.raises(ConvergenceError,
+                           match=r"^no mode found, but 3 branch trace\(s\) failed: "
+                                 r"seed omega=1\.44116.*outside basin"):
+            find_real_mode(config, (-0.25, 0.25), window)
     else:
+        mode = find_real_mode(config, (-0.25, 0.25), window)
         assert mode.kappa0 == 0.0 and abs(mode.omega0 - omega0) < 1e-12

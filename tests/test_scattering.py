@@ -63,20 +63,29 @@ def test_strict_solve_refuses_the_mode(case2_config):
     assert info.value.sigma_min < 1e-12
 
 
-def test_exactly_singular_row_sends_the_stack_through_the_svd():
-    """The batched inverse raises on a row with an exact zero pivot, so every
-    row gets the SVD test: each equals its single-matrix solve, sigma_min
-    included, and the singular row its least-squares solution."""
+def test_exactly_singular_row_is_decided_alone():
+    """A row with an exact zero pivot gets the bound inf, an SVD and its
+    least-squares solution; every other row keeps the bits of its
+    single-matrix solve, passes on the bound alone (sigma_min NaN) and is
+    solved by one batched LU call."""
     a = np.array([np.eye(2), [[1.0, 0.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 1.0]]],
                  dtype=complex)
     rhs = np.array([[1.0, 2.0], [1.0, 1j], [0.5, -1.0]], dtype=complex)
-    psi, sigma_min = _solve_sites(a, rhs, strict=False)
-    for i in range(3):
-        want_psi, want_sigma = _solve_sites(a[i], rhs[i], strict=False)
-        assert psi[i].tobytes() == want_psi.tobytes()
-        assert sigma_min[i] == want_sigma
+    solve, calls = np.linalg.solve, []
+
+    def recorded(m, b):
+        calls.append(m.shape)
+        return solve(m, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recorded)
+        psi, sigma_min = _solve_sites(a, rhs, strict=False)
+    assert calls == [(2, 2, 2)]
     assert sigma_min[1] == 0.0
     assert psi[1].tobytes() == np.linalg.lstsq(a[1], rhs[1], rcond=None)[0].tobytes()
+    for i in (0, 2):
+        assert psi[i].tobytes() == _solve_sites(a[i], rhs[i], strict=False)[0].tobytes()
+        assert np.isnan(sigma_min[i])
 
 
 def test_oracle_equivalence_fixed_config():
