@@ -173,8 +173,13 @@ def enhancement_scaling(config: LatticeConfig, mode: GuidedMode, kappa_list):
     each later one the grid steps on either side of the previous level's
     best row.  The peak is the largest value any of the ZOOM_LEVELS levels
     sampled.  Raises on non-monotone peak data, which indicates a window
-    problem rather than a scaling violation.
+    problem rather than a scaling violation.  ``kappa_list`` needs at least
+    two |kt|, each nonzero and none repeated; other input raises ValueError.
     """
+    kts = np.abs(np.asarray(kappa_list, dtype=float))
+    if len(kts) < 2 or not kts.all() or len(set(kts.tolist())) < len(kts):
+        raise ValueError("enhancement_scaling needs at least two distinct, "
+                         f"nonzero |kt|, got {list(kappa_list)}")
     peaks = []
     om_seed = complex(mode.omega0)
     anchor = mode.nullvector
@@ -193,7 +198,6 @@ def enhancement_scaling(config: LatticeConfig, mode: GuidedMode, kappa_list):
             grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, ZOOM_POINTS - 1)],
                                ZOOM_POINTS)
         peaks.append(peak)
-    kts = np.abs(np.asarray(kappa_list, dtype=float))
     order = np.argsort(kts)
     sorted_peaks = np.asarray(peaks)[order]
     # the resonant peak must grow as |kt| shrinks

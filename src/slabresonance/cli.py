@@ -399,6 +399,10 @@ def main(argv=None) -> int:
             if not np.isfinite(values).all():
                 raise ConfigError(f"--{key.replace('_', '-')} must be finite, "
                                   f"got {values}")
+        if 0 in (getattr(args, "kappa_tilde", None) or []):
+            # anomaly_window's width is proportional to kt^2
+            raise ConfigError(f"--kappa-tilde must be nonzero, got "
+                              f"{args.kappa_tilde}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

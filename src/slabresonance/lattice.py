@@ -193,6 +193,9 @@ class SpectralPoint:
 
     ``omega`` may also be an array of frequencies at one kappa, complex ones
     too: the arrays ``evaluate_point`` derives then carry its leading axis.
+    For ``evaluate_point`` and what is built on it (``interaction_matrix``,
+    ``scattering.eigen_branch``), ``kappa`` may be an array too, one entry
+    per frequency of a 1-D ``omega``.
     """
 
     kappa: complex
@@ -231,10 +234,11 @@ def order_arrays(kappa: complex, omega, period: int):
     """kappa_p, eta_p and 1/(2i sin eta_p) for all orders p in 0..period-1.
 
     An array of frequencies gives ``eta`` and the last entry a leading axis;
-    ``kappa_p`` depends on kappa alone and keeps shape (period,).
+    ``kappa_p`` depends on kappa alone and has shape (period,), or a leading
+    axis too where kappa has one entry per frequency.
     """
     p = np.arange(period)
-    kappa_p = np.asarray(kappa, dtype=complex) + 2.0 * np.pi * p / period
+    kappa_p = np.asarray(kappa, dtype=complex)[..., None] + 2.0 * np.pi * p / period
     eta = order_wavenumber(kappa_p, np.asarray(omega)[..., None])
     sin_eta = np.sin(eta)
     if any(abs(sin_eta.ravel()) < 1e-14):
@@ -376,13 +380,13 @@ def greens_matrix(orders, config: LatticeConfig) -> np.ndarray:
 
     ``orders`` is the ``(kappa_p, eta, 1/(2i sin eta))`` triple of
     ``order_arrays`` at the spectral point; a leading frequency axis of
-    ``eta`` carries through.
+    ``eta``, and of ``kappa_p`` if it has one, carries through.
     """
     kappa_p, eta, tp = orders
     dx, dz = config._site_offsets
     # in place: a batch's (rows, orders, k, k) temporaries exist once
     phases = 1j * eta[..., :, None, None] * dz
-    phases += 1j * kappa_p[:, None, None] * dx
+    phases += 1j * kappa_p[..., :, None, None] * dx
     np.exp(phases, out=phases)
     return np.einsum("...p,...pjk->...jk", tp, phases) / config.period
 
@@ -393,7 +397,8 @@ def evaluate_point(point: SpectralPoint, config: LatticeConfig,
 
     Returns ``(orders, v_eff, a)``: the order arrays of ``order_arrays``,
     the diagonal V_eff on the defect sites and A = I - G V_eff.  With an
-    array of frequencies every piece but ``kappa_p`` has a leading axis.
+    array of frequencies every piece but ``kappa_p`` has a leading axis, and
+    ``kappa_p`` too where kappa has one entry per frequency.
     ``tunable_values`` are as in ``effective_potential``; G does not depend
     on them and is built once for all rows.
     """

@@ -76,7 +76,9 @@ def _omega_newton(f, kappa, guesses, tol, max_iter):
     call ``f(kappa, stencils, rows)`` on the [omega, omega + h, omega - h]
     stencils, h = 1e-6 * (1 + |omega|), of the rows still iterating, for a
     central difference; ``rows`` indexes them in ``guesses``, and f returns
-    one value per frequency.  A row leaves when it converges or fails: a
+    one value per frequency.  The +-h values of a row whose omega converges
+    are not used, so f may leave them unevaluated (None), as the lookahead
+    of ``trace_branch`` does.  A row leaves when it converges or fails: a
     second iterate with larger |f| (a guess outside the basin) or more than
     NEWTON_REACH (1 + |guess|) from its guess fails with ConvergenceError.
     Every row ends as it would solved alone: the step arithmetic is per row,
@@ -208,24 +210,94 @@ def _root_with_halving(k_prev, om, vec, k, config, depth=6):
     except (ConvergenceError, BranchCollisionError):
         if depth == 0 or k_prev is None:
             raise
+    return _halved(k_prev, om, vec, k, config, depth - 1)
+
+
+def _halved(k_prev, om, vec, k, config, depth):
+    """The root at k reached through the midpoint of k_prev and k, each half
+    by ``_root_with_halving`` to ``depth``."""
     k_mid = 0.5 * (k_prev + k)
-    mid = _root_with_halving(k_prev, om, vec, k_mid, config, depth - 1)
-    return _root_with_halving(k_mid, mid.omega, mid.vector, k, config,
-                              depth - 1)
+    mid = _root_with_halving(k_prev, om, vec, k_mid, config, depth)
+    return _root_with_halving(k_mid, mid.omega, mid.vector, k, config, depth)
 
 
 def trace_branch(config: LatticeConfig, kappas, omega_seed,
                  anchor=None) -> list[DispersionSample]:
-    """Trace omega(kappa) along a kappa path with warm starts."""
-    out = []
-    om = complex(omega_seed)
-    vec = anchor
-    k_prev = None
-    for k in kappas:
-        samp = _root_with_halving(k_prev, om, vec, k, config)
+    """Trace omega(kappa) along a kappa path with warm starts.
+
+    Each sample has the bits of ``_root_with_halving`` from the previous
+    sample (from ``omega_seed`` and ``anchor`` at the first kappa), and the
+    trace stops with the error that call would raise.  Each kappa is first
+    tried by ``_lookahead_root``, which spends about two evaluations where
+    ``omega_root`` spends three: its converging evaluation also takes the
+    next kappa's first stencil.
+    """
+    out, ahead = [], None
+    om, vec, k_prev = complex(omega_seed), anchor, None
+    for k, k_next in zip(kappas, [*kappas[1:], None]):
+        try:
+            samp, ahead = _lookahead_root(k, om, vec, config, k_next, ahead)
+        except (ConvergenceError, BranchCollisionError):
+            if k_prev is None:
+                raise
+            samp, ahead = _halved(k_prev, om, vec, k, config, 5), None
         out.append(samp)
         om, vec, k_prev = samp.omega, samp.vector, k
     return out
+
+
+def _lookahead_root(kappa, guess, anchor, config, kappa_next, ahead):
+    """``omega_root(kappa, guess, config, anchor)``, bit for bit and error
+    for error, and the lookahead for ``kappa_next``: the values and vector of
+    its first stencil, or None.
+
+    ``ahead`` is this kappa's lookahead, which the Newton's first step takes
+    in place of an evaluation.  A step after one shorter than its stencil's
+    h is expected to converge.  It evaluates omega alone and, in the same
+    ``eigen_branch`` call, the stencil [omega, omega + h, omega - h] at
+    ``kappa_next``, tracked from omega's new vector as that kappa's first
+    call would be.  Where that call raises, omega is evaluated alone.  If
+    omega misses, the +-h rows at kappa, each tracked from omega's vector,
+    complete the step; if they raise, the step has no slope, as in
+    ``_row_alone``.
+    """
+    vec, last, nxt = anchor, None, None
+
+    def branch(k, stencils, rows):
+        nonlocal vec, last, nxt, ahead
+        oms = stencils[0]
+        converging = (len(oms) == 3 and last is not None
+                      and abs(oms[0] - last[0]) < abs(last[1] - last[0]))
+        last, nxt = oms, None
+        if ahead is not None:
+            (ells, vec), ahead = ahead, None
+            return (ells,)
+        if not converging:
+            ells, vec = eigen_branch(SpectralPoint(k, oms), config, vec)
+            return (ells,)
+        if kappa_next is not None and kappa_next != k:
+            with contextlib.suppress(ArithmeticError, SlabError):
+                ells, vecs = eigen_branch(
+                    SpectralPoint(np.array([k] + [kappa_next] * 3),
+                                  oms[[0, 0, 1, 2]]), config, vec)
+                ell, vec, nxt = ells[0], vecs[0], (ells[1:], vecs[1])
+        if nxt is None:
+            (ell,), vec = eigen_branch(SpectralPoint(k, oms[:1]), config, vec)
+        if abs(ell) < ROOT_TOL:
+            return ((ell, None, None),)  # converged: the slope is not used
+        nxt = None
+        try:
+            ells, _ = eigen_branch(SpectralPoint(k, oms[1:, None]), config, vec)
+        except (ArithmeticError, SlabError):
+            return ((ell, None, None),)
+        return ((ell, *ells[:, 0]),)
+
+    (om,), (residual,), (error,) = _omega_newton(branch, kappa, [guess],
+                                                 ROOT_TOL, ROOT_MAX_ITER)
+    error = error or _sign_error(kappa, om)
+    if error is not None:
+        raise error
+    return DispersionSample(kappa, om, residual, vec), nxt
 
 
 def _smallest_eig_moduli(config, kappa, oms):

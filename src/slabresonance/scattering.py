@@ -105,15 +105,16 @@ def _solve_sites(a, rhs, strict):
 
     Each row is decided alone: one with sigma_min < sigma_max / COND_LIMIT is
     refused with ``strict`` and otherwise gets the minimum-norm least-squares
-    solution; the other rows share one batched LU solve.  A single matrix, or
-    any with ``strict``, is decomposed, so its sigma_min is exact.  A row of a
-    stack is decomposed only where the bound ||A||_F ||A^-1||_F >= sigma_max /
-    sigma_min (inf if A is singular) is not below COND_LIMIT / COND_MARGIN;
-    elsewhere sigma_min is NaN.  A row so skipped has cond_2 below 1e11, where
-    rounding moves the bound and the SVD's ratio by about cond_2 * eps
-    (< 1e-4) relative, far inside the margin: its verdict is the SVD's.
+    solution; the other rows share one batched LU solve.  A single matrix is
+    decomposed, so its sigma_min is exact; ``strict`` comes with a single
+    matrix only (``solve_scattering``).  A row of a stack is decomposed only
+    where the bound ||A||_F ||A^-1||_F >= sigma_max / sigma_min (inf if A is
+    singular) is not below COND_LIMIT / COND_MARGIN; elsewhere sigma_min is
+    NaN.  A row so skipped has cond_2 below 1e11, where rounding moves the
+    bound and the SVD's ratio by about cond_2 * eps (< 1e-4) relative, far
+    inside the margin: its verdict is the SVD's.
     """
-    if a.ndim == 2 or strict:
+    if a.ndim == 2:
         svals = np.linalg.svd(a, compute_uv=False)
         sigma_min = svals[..., -1]
         singular = sigma_min < svals[..., 0] / COND_LIMIT
@@ -205,8 +206,13 @@ def solve_scattering(point: SpectralPoint, config: LatticeConfig,
 
     With ``strict`` the solve refuses near-singular A (resonance proximity);
     otherwise it falls back to the minimum-norm least-squares solution, which
-    stays finite at the guided-mode point itself.
+    stays finite at the guided-mode point itself.  ``point`` is one (kappa,
+    omega) pair: an array entry raises ValueError (``solve_grid`` solves a
+    frequency grid).
     """
+    if np.ndim(point.kappa) or np.ndim(point.omega):
+        raise ValueError("solve_scattering takes one (kappa, omega) point; "
+                         "solve a frequency grid with solve_grid")
     _require_one_order(point, config)
     psi, refl, trans, sigma_min = _scatter(evaluate_point(point, config), config,
                                            strict)
@@ -316,16 +322,19 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     an ambiguous overlap (< 0.5) between distinct eigenvalues raises
     BranchCollisionError so the caller can refine the continuation path.
 
-    ``point.omega`` may be an array of frequencies, complex ones too, at one
-    kappa.  Then A is built and eigendecomposed once for all rows.  A 1-D
-    array is one trace: row 0 is tracked from ``anchor``, every other row
-    from row 0's eigenvector, and the result is (array of row eigenvalues,
-    row 0's vector).  A 2-D array holds one trace per leading row, each with
-    its own row of ``anchor`` (or all without one) and, if given, its own
-    entry of ``tunable_values`` (see ``lattice.effective_potential``); the
-    result is (eigenvalues per trace and column, column 0's vector per
-    trace).  Each row has the bits of a single-point call with that anchor
-    and parameter value.
+    ``point.omega`` may be an array of frequencies, complex ones too.  Then
+    A is built and eigendecomposed once for all rows.  A 1-D array is one
+    trace: row 0 is tracked from ``anchor``, every other row from row 0's
+    eigenvector, and the result is (array of row eigenvalues, row 0's
+    vector).  With one ``point.kappa`` per row, each run of rows at one kappa
+    is such a trace, anchored on the vector of the previous run's first row
+    (the first run on ``anchor``), and the result holds the vector of each
+    run's first row, stacked.  A 2-D array holds one trace per leading row,
+    each with its own row of ``anchor`` (or all with one anchor, or none)
+    and, if given, its own entry of ``tunable_values`` (see
+    ``lattice.effective_potential``); the result is (eigenvalues per trace
+    and column, column 0's vector per trace).  Each row has the bits of a
+    single-point call with that anchor and parameter value.
     """
     evals, evecs = np.linalg.eig(interaction_matrix(point, config,
                                                     tunable_values))
@@ -333,13 +342,20 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
         i = _pick(evals, evecs, anchor)
         return evals[i], _gauged(evecs[:, i], anchor)
     picks = np.empty(evals.shape[:-1], dtype=int)
-    picks[..., 0] = first = _pick(evals[..., 0, :], evecs[..., 0, :, :], anchor)
-    if evals.ndim == 2:  # one trace
-        vec = _gauged(evecs[0][:, first], anchor)
-        picks[1:] = _pick(evals[1:], evecs[1:], vec)
-    else:
-        vec = _gauged(evecs[np.arange(len(evals)), 0, :, first], anchor)
-        picks[:, 1:] = _pick(evals[:, 1:], evecs[:, 1:], vec[:, None, :])
+    if evals.ndim == 2:  # one trace, or one per run of a kappa per row
+        kappa = np.asarray(point.kappa)
+        starts = np.flatnonzero(kappa[1:] != kappa[:-1]) + 1 if kappa.ndim else []
+        vecs = []
+        for s, e in zip([0, *starts], [*starts, len(evals)]):
+            picks[s] = first = _pick(evals[s], evecs[s], anchor)
+            anchor = _gauged(evecs[s][:, first], anchor)
+            if e > s + 1:
+                picks[s + 1:e] = _pick(evals[s + 1:e], evecs[s + 1:e], anchor)
+            vecs.append(anchor)
+        return _take(evals, picks), np.array(vecs) if kappa.ndim else anchor
+    picks[:, 0] = first = _pick(evals[:, 0], evecs[:, 0], anchor)
+    vec = _gauged(evecs[np.arange(len(evals)), 0, :, first], anchor)
+    picks[:, 1:] = _pick(evals[:, 1:], evecs[:, 1:], vec[:, None, :])
     return _take(evals, picks), vec
 
 

@@ -198,6 +198,14 @@ class TestEnhancement:
                                     [0.08, 0.04, 0.02])
         assert abs(s1 - s2) < 0.05
 
+    @pytest.mark.parametrize("kts", [[], [0.01], [0.02, 0.0], [0.01, -0.01, 0.02]],
+                             ids=["none", "one", "zero", "repeated"])
+    def test_needs_two_distinct_nonzero_kt(self, case2_config, case2_mode, kts):
+        """One |kt| gives no slope, a zero |kt| no peak, and a repeated one
+        no monotone order: all are refused before any solve."""
+        with pytest.raises(ValueError, match="two distinct, nonzero"):
+            enhancement_scaling(case2_config, case2_mode, kts)
+
     def test_peaks_reach_fine_grid_maximum(self, mode_case):
         """Each peak is at least the maximum of a 2001-point grid on its window."""
         config, mode = mode_case

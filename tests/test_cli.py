@@ -174,6 +174,15 @@ class TestDispersion:
         assert data_rows(got) == data_rows(want)
         assert len(data_rows(got)) == 100
 
+    def test_readme_branch_eigen_branch_calls(self, tmp_path):
+        """Each kappa costs two calls: the one where omega converges also
+        takes the next kappa's first stencil.  Three per kappa took 367."""
+        with counted_eigen_branch() as calls:
+            assert run(["dispersion", "--config", CASE2,
+                        "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
+                        "--grid", "100", "--out", str(tmp_path)]) == 0
+        assert len(calls) <= 275
+
     def test_empty_scatterer_errors(self, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text(json.dumps({
@@ -391,6 +400,10 @@ def manifest_text(manifest):
     pytest.param(["transmission", "--config", CASE2, "--kappa", "0.02",
                   "--omega-range", "1.4:inf", "--out", "TMP/out"], None,
                  id="transmission-range-inf"),
+    pytest.param(["analyze", "--config", CASE2, "--kappa-range=-0.25:0.25",
+                  "--omega-range", "1.3:1.7", "--kappa-tilde", "0.01",
+                  "--kappa-tilde", "0", "--out", "TMP/out"], None,
+                 id="kappa-tilde-zero"),
     pytest.param(INPUT_CURVE, config_text(d="NaN"), id="defect-d-nan"),
     pytest.param(INPUT_CURVE, config_text(mu="NaN"), id="pendant-mu-nan"),
     pytest.param(INPUT_CURVE, config_text(tunable='"defects.zero.d"'),
@@ -558,10 +571,12 @@ class TestAnalyze:
     def test_readme_analyze_calls(self, readme_analyze):
         """Each circle point solves the three zero curves as rows of one
         Newton: 12 points of 4 steps.  Three separate Newtons took 96
-        coefficient_triple calls and 48 more eigen_branch calls."""
+        coefficient_triple calls and 48 more eigen_branch calls.  The
+        401-kappa trace costs two eigen_branch calls per kappa; at three, the
+        command took 1,227."""
         _, triples, branches = readme_analyze
         assert triples <= 48
-        assert branches <= 1227
+        assert branches <= 827
 
     def test_cubic_failing_its_guard_is_dropped(self, tmp_path):
         """A mirror-symmetric config whose eigenvalue curve passes the

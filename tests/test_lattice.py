@@ -190,6 +190,19 @@ class TestInteractionMatrix:
                 indep[j, k] -= gval * v[k]
         assert np.max(np.abs(a - indep)) < 1e-8
 
+    def test_kappa_per_row_equals_single_points(self):
+        """A kappa per frequency row, real or complex, gives each row the
+        bits of its single-point matrix."""
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            config = random_lossless_config(rng)
+            kappas = rng.uniform(-0.4, 0.4, 4) + 1j * rng.choice([0.0, 0.05], 4)
+            omegas = rng.uniform(0.2, 2.8, 4) - 1j * rng.uniform(0.0, 0.2, 4)
+            got = interaction_matrix(SpectralPoint(kappas, omegas), config)
+            for k, om, row in zip(kappas, omegas, got, strict=True):
+                want = interaction_matrix(SpectralPoint(k, om), config)
+                assert row.tobytes() == want.tobytes()
+
     def test_pendant_elimination_pole(self):
         config = LatticeConfig(
             2, (Defect(0, 0, -1.0),), (Pendant(0, 1.21, 0.4),)

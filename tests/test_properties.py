@@ -8,6 +8,7 @@ point with exactly order 0 propagating (``random_lossless_config`` and
 run free of files.
 """
 
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from slabresonance import (
     eigen_branch,
     solve_scattering,
 )
-from slabresonance import modes
+from slabresonance import lattice, modes
 from slabresonance.errors import (
     BranchCollisionError,
     ConvergenceError,
@@ -304,6 +305,46 @@ def test_batched_eigen_branch_equals_single_calls(seed):
     got = outcome(eigen_branch, point, config, anchor)
     if isinstance(want[0], type):
         assert got[0] is want[0]
+        return
+    assert bits(got[0]) == bits(want[0])
+    assert bits(got[1]) == bits(want[1])
+
+
+def per_run_branch(point, config, anchor):
+    """eigen_branch with a kappa per row as one batched call per run of rows
+    at one kappa, each anchored on the previous run's first vector."""
+    kappas, rows, vecs = point.kappa, [], []
+    ends = [*np.flatnonzero(kappas[1:] != kappas[:-1]) + 1, len(kappas)]
+    for s, e in zip([0, *ends], ends):
+        ells, anchor = eigen_branch(SpectralPoint(kappas[s], point.omega[s:e]),
+                                    config, anchor)
+        rows.extend(ells)
+        vecs.append(anchor)
+    return np.array(rows), np.array(vecs)
+
+
+@examples(60)
+@given(SEEDS)
+def test_eigen_branch_with_a_kappa_per_row(seed):
+    """Two or three runs of one to three complex frequency rows, each run at
+    its own real kappa, with no anchor or the eigenvector of a nearby point:
+    the bits of one call per run, or an error where those calls raise."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng)
+    sizes = rng.integers(1, 4, int(rng.integers(2, 4)))
+    kappas = np.repeat(rng.uniform(-0.4, 0.4, len(sizes)), sizes)
+    oms = rng.uniform(0.2, 2.8, len(kappas)) - 1j * rng.uniform(0.0, 0.2, len(kappas))
+    anchor = None
+    if rng.random() < 0.7:
+        near = SpectralPoint(kappas[0], oms[0] + complex(*rng.uniform(-0.1, 0.1, 2)))
+        anchor = outcome(eigen_branch, near, config)[1]
+        if isinstance(anchor, str):
+            reject()
+    point = SpectralPoint(kappas, oms)
+    want = outcome(per_run_branch, point, config, anchor)
+    got = outcome(eigen_branch, point, config, anchor)
+    if isinstance(want[0], type):
+        assert isinstance(got[0], type)
         return
     assert bits(got[0]) == bits(want[0])
     assert bits(got[1]) == bits(want[1])
@@ -688,3 +729,141 @@ def test_default_search_falls_back_to_the_dense_scan(config, window, omega0):
     else:
         mode = find_real_mode(config, (-0.25, 0.25), window)
         assert mode.kappa0 == 0.0 and abs(mode.omega0 - omega0) < 1e-12
+
+
+def chained_roots(config, kappas, seed):
+    """A branch traced as one ``_root_with_halving`` per kappa, each from the
+    previous sample, so every Newton step evaluates its whole stencil.
+    Returns the samples and the (class, message) of the error that stopped
+    the chain, or None."""
+    out, om, vec, k_prev = [], complex(seed), None, None
+    for k in kappas:
+        try:
+            samp = modes._root_with_halving(k_prev, om, vec, k, config)
+        except (ArithmeticError, SlabError) as exc:
+            return out, (type(exc), str(exc))
+        out.append(samp)
+        om, vec, k_prev = samp.omega, samp.vector, k
+    return out, None
+
+
+def assert_trace_equals_chain(config, kappas, seed):
+    """trace_branch gives the chain's samples, or raises the chain's error;
+    then its trace of the kappas before that error gives the chain's
+    samples."""
+    want, error = chained_roots(config, kappas, seed)
+    got = outcome(trace_branch, config, kappas, seed)
+    if error is not None:
+        assert got == error
+        got = trace_branch(config, kappas[:len(want)], seed) if want else []
+    assert_same_samples(got, want)
+
+
+@contextlib.contextmanager
+def branch_calls():
+    """A list that gains, per eigen_branch call of ``modes`` inside the
+    block, its kind and the class of the error it raised (or None).  A call
+    with a kappa per row is a "lookahead"; one of two rows that share the
+    anchor is the "completion" of a missed step."""
+    calls = []
+    branch = modes.eigen_branch
+
+    def recorded(point, *args):
+        kind = ("lookahead" if np.ndim(point.kappa) else
+                "completion" if np.shape(point.omega) == (2, 1) else "plain")
+        try:
+            result = branch(point, *args)
+        except (ArithmeticError, SlabError) as exc:
+            calls.append((kind, type(exc)))
+            raise
+        calls.append((kind, None))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "eigen_branch", recorded)
+        yield calls
+
+
+def trace_case(seed):
+    """A random lossless (odd seed) or mirror (even seed) config, a path of
+    3 to 39 kappa points, and up to three branch seeds at its first kappa."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng) if seed % 2 else random_mirror_config(rng)
+    k0 = float(rng.uniform(-0.4, 0.3))
+    n = int(rng.integers(3, 40))
+    kappas = np.linspace(k0, k0 + float(rng.uniform(0.05, 0.5)), n)
+    window = (float(rng.uniform(0.2, 1.2)), float(rng.uniform(1.5, 2.8)))
+    try:
+        seeds = branch_seeds(config, kappas[0], window)[:3]
+    except SlabError:
+        seeds = []
+    return config, kappas, seeds
+
+
+@example(379)  # a next kappa's rows collide (test_trace_next_kappa_collides)
+@examples(40)
+@given(SEEDS)
+def test_trace_equals_chained_roots(seed):
+    """Two evaluations per kappa give the samples (omega, residual, vector)
+    and the errors of three, on random lossless and mirror configs."""
+    config, kappas, seeds = trace_case(seed)
+    for omega_seed in seeds:
+        assert_trace_equals_chain(config, kappas, omega_seed)
+
+
+def test_trace_next_kappa_collides():
+    """On trace_case(379) the rows of a lookahead collide at the next kappa.
+    The lookahead is dropped, and that kappa meets the collision in its own
+    first call, as the chain does."""
+    config, kappas, seeds = trace_case(379)
+    with branch_calls() as calls:
+        trace_branch(config, kappas, seeds[0])
+    assert ("lookahead", BranchCollisionError) in calls
+    assert_trace_equals_chain(config, kappas, seeds[0])
+
+
+@pytest.mark.parametrize("config, kappa_range, window", [
+    (CASE2, (-0.25, 0.25), (1.3, 1.7)),
+    (CASE1_SEED, (0.08, 0.32), (1.30, 1.46)),
+], ids=["case2", "case1-seed"])
+def test_trace_with_forced_misses(config, kappa_range, window):
+    """Eigenvalues scaled by 2**14 leave every Newton step as it was (the
+    scale is exact and cancels in the step) but make the convergence test
+    2**14 times stricter, so many steps expected to converge miss and are
+    completed by their +-h rows."""
+    kappas = np.linspace(*kappa_range, 40)
+    seed = branch_seeds(config, kappas[0], window)[0]
+    branch = modes.eigen_branch
+
+    def scaled(point, *args):
+        ell, vec = branch(point, *args)
+        return ell * 2.0**14, vec
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "eigen_branch", scaled)
+        with branch_calls() as calls:
+            trace_branch(config, kappas, seed)
+        assert calls.count(("completion", None)) >= 10
+        assert_trace_equals_chain(config, kappas, seed)
+
+
+def test_trace_next_kappa_at_a_wood_point():
+    """A kappa made a Wood point (its order arrays raise WoodAnomalyError)
+    fails the lookahead taken at the kappa before it; that kappa's sample is
+    kept, and the trace raises the chain's error at the Wood point."""
+    kappas = np.linspace(-0.25, 0.25, 20)
+    seed = branch_seeds(CASE2, kappas[0], (1.3, 1.7))[0]
+    order_arrays = lattice.order_arrays
+
+    def wood(kappa, omega, period):
+        if np.any(np.asarray(kappa) == kappas[7]):
+            raise WoodAnomalyError("sin(eta_p) vanishes: order at a branch point")
+        return order_arrays(kappa, omega, period)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "order_arrays", wood)
+        with branch_calls() as calls:
+            with pytest.raises(WoodAnomalyError):
+                trace_branch(CASE2, kappas, seed)
+        assert ("lookahead", WoodAnomalyError) in calls
+        assert_trace_equals_chain(CASE2, kappas, seed)

@@ -233,3 +233,15 @@ def test_branch_collision_on_ambiguous_anchor(case1_seed_config):
     probe = ambiguous_anchor(point, case1_seed_config)
     with pytest.raises(BranchCollisionError):
         eigen_branch(point, case1_seed_config, probe)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("point", [
+    SpectralPoint(0.02, np.array([1.41, 1.42])),
+    SpectralPoint(np.array([0.02, 0.03]), 1.41),
+], ids=["omega-array", "kappa-array"])
+def test_solve_scattering_refuses_arrays(case2_config, point, strict):
+    """One point only: a grid is solve_grid's, and an array entry is refused
+    before any work, not met as a TypeError at the end."""
+    with pytest.raises(ValueError, match="solve_grid"):
+        solve_scattering(point, case2_config, strict=strict)
