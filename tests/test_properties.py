@@ -822,6 +822,14 @@ def test_trace_next_kappa_collides():
     assert_trace_equals_chain(config, kappas, seeds[0])
 
 
+def test_trace_with_repeated_kappas():
+    """A path that repeats a kappa (as a range LO:LO gives): no lookahead is
+    taken to the same kappa, and the samples are the chain's."""
+    kappas = np.array([0.1, 0.1, 0.1, 0.12, 0.12])
+    seed = branch_seeds(CASE2, kappas[0], (1.3, 1.7))[0]
+    assert_trace_equals_chain(CASE2, kappas, seed)
+
+
 @pytest.mark.parametrize("config, kappa_range, window", [
     (CASE2, (-0.25, 0.25), (1.3, 1.7)),
     (CASE1_SEED, (0.08, 0.32), (1.30, 1.46)),
