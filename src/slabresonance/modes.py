@@ -77,10 +77,10 @@ def _omega_newton(f, kappa, guesses, tol, max_iter):
     stencils, h = 1e-6 * (1 + |omega|), of the rows still iterating, for a
     central difference; ``rows`` indexes them in ``guesses``, and f returns
     one value per frequency.  The +-h values of a row whose omega converges
-    are not used, so f may leave them unevaluated (None), as the lookahead
-    of ``trace_branch`` does.  A row leaves when it converges or fails: a
-    second iterate with larger |f| (a guess outside the basin) or more than
-    NEWTON_REACH (1 + |guess|) from its guess fails with ConvergenceError.
+    are not used, so f may leave them unevaluated (None), as ``_lockstep``
+    does.  A row leaves when it converges or fails: a second iterate with
+    larger |f| (a guess outside the basin) or more than NEWTON_REACH
+    (1 + |guess|) from its guess fails with ConvergenceError.
     Every row ends as it would solved alone: the step arithmetic is per row,
     in scalars, and a call that raises is made again row by row
     (``_row_alone``).  Returns (roots, |f| at the roots, errors),
@@ -227,77 +227,13 @@ def trace_branch(config: LatticeConfig, kappas, omega_seed,
 
     Each sample has the bits of ``_root_with_halving`` from the previous
     sample (from ``omega_seed`` and ``anchor`` at the first kappa), and the
-    trace stops with the error that call would raise.  Each kappa is first
-    tried by ``_lookahead_root``, which spends about two evaluations where
-    ``omega_root`` spends three: its converging evaluation also takes the
-    next kappa's first stencil.
+    trace stops with the error that call would raise: the one-trace case of
+    ``_lockstep``, at about two evaluations per kappa, not three.
     """
-    out, ahead = [], None
-    om, vec, k_prev = complex(omega_seed), anchor, None
-    for k, k_next in zip(kappas, [*kappas[1:], None]):
-        try:
-            samp, ahead = _lookahead_root(k, om, vec, config, k_next, ahead)
-        except (ConvergenceError, BranchCollisionError):
-            if k_prev is None:
-                raise
-            samp, ahead = _halved(k_prev, om, vec, k, config, 5), None
-        out.append(samp)
-        om, vec, k_prev = samp.omega, samp.vector, k
-    return out
-
-
-def _lookahead_root(kappa, guess, anchor, config, kappa_next, ahead):
-    """``omega_root(kappa, guess, config, anchor)``, bit for bit and error
-    for error, and the lookahead for ``kappa_next``: the values and vector of
-    its first stencil, or None.
-
-    ``ahead`` is this kappa's lookahead, which the Newton's first step takes
-    in place of an evaluation.  A step after one shorter than its stencil's
-    h is expected to converge.  It evaluates omega alone and, in the same
-    ``eigen_branch`` call, the stencil [omega, omega + h, omega - h] at
-    ``kappa_next``, tracked from omega's new vector as that kappa's first
-    call would be.  Where that call raises, omega is evaluated alone.  If
-    omega misses, the +-h rows at kappa, each tracked from omega's vector,
-    complete the step; if they raise, the step has no slope, as in
-    ``_row_alone``.
-    """
-    vec, last, nxt = anchor, None, None
-
-    def branch(k, stencils, rows):
-        nonlocal vec, last, nxt, ahead
-        oms = stencils[0]
-        converging = (len(oms) == 3 and last is not None
-                      and abs(oms[0] - last[0]) < abs(last[1] - last[0]))
-        last, nxt = oms, None
-        if ahead is not None:
-            (ells, vec), ahead = ahead, None
-            return (ells,)
-        if not converging:
-            ells, vec = eigen_branch(SpectralPoint(k, oms), config, vec)
-            return (ells,)
-        if kappa_next is not None and kappa_next != k:
-            with contextlib.suppress(ArithmeticError, SlabError):
-                ells, vecs = eigen_branch(
-                    SpectralPoint(np.array([k] + [kappa_next] * 3),
-                                  oms[[0, 0, 1, 2]]), config, vec)
-                ell, vec, nxt = ells[0], vecs[0], (ells[1:], vecs[1])
-        if nxt is None:
-            (ell,), vec = eigen_branch(SpectralPoint(k, oms[:1]), config, vec)
-        if abs(ell) < ROOT_TOL:
-            return ((ell, None, None),)  # converged: the slope is not used
-        nxt = None
-        try:
-            ells, _ = eigen_branch(SpectralPoint(k, oms[1:, None]), config, vec)
-        except (ArithmeticError, SlabError):
-            return ((ell, None, None),)
-        return ((ell, *ells[:, 0]),)
-
-    (om,), (residual,), (error,) = _omega_newton(branch, kappa, [guess],
-                                                 ROOT_TOL, ROOT_MAX_ITER)
-    error = error or _sign_error(kappa, om)
-    if error is not None:
-        raise error
-    return DispersionSample(kappa, om, residual, vec), nxt
+    [samples] = _lockstep([config], [0], kappas, [omega_seed], anchor)
+    if isinstance(samples, Exception):
+        raise samples
+    return samples
 
 
 def _smallest_eig_moduli(config, kappa, oms):
@@ -476,12 +412,12 @@ def _flattest_sample(configs, kappas, omega_window, max_seeds=None):
 
     The configs differ at most in the value of their tunable parameter.  Each
     config's branches start from its first ``max_seeds`` ``branch_seeds`` at
-    kappas[0], and all of them are traced together by ``_lockstep``, each
-    with the bits of ``trace_branch`` on its config and seed.  A branch that
-    raises ConvergenceError or DispersionSignError is left out of the
-    minimum and listed as failed; a config with no traced branch gets
-    (inf, None).  Any other error propagates: the first one in config and
-    seed order, as if the branches were traced one after another.
+    kappas[0]; one ``_lockstep``, a lone branch's too, traces them all with
+    the bits of ``trace_branch``.  A branch that raises ConvergenceError or
+    DispersionSignError is left out of the minimum and listed as failed; a
+    config with no traced branch gets (inf, None).  Any other error
+    propagates: the first one in config and seed order, as if the branches
+    were traced one after another.
     """
     seeds, stop = [], None
     for config in configs:
@@ -510,79 +446,127 @@ def _flattest_sample(configs, kappas, omega_window, max_seeds=None):
     return best, failed
 
 
-def _lockstep(configs, owners, kappas, seeds):
-    """``trace_branch(configs[owners[t]], kappas, seeds[t])`` for every t.
+def _lockstep(configs, owners, kappas, seeds, anchor=None):
+    """``trace_branch(configs[owners[t]], kappas, seeds[t], anchor)`` for
+    every t, the traces advancing together one kappa at a time.
 
-    All traces advance together, one kappa at a time: the ``_omega_newton``
-    rows of a step are every live trace, evaluated by one ``eigen_branch``
-    call per Newton step with the tunable parameter as a row axis.  Each row
-    ends as it would solved alone; a row whose Newton fails re-runs that
-    kappa with ``_root_with_halving`` from the same warm start, as
-    ``trace_branch`` does, so every trace keeps its solo bits.  Where
-    ``_root_with_halving`` would only raise again (at the first kappa, or an
-    error it does not halve on), the row's own error, or the
-    DispersionSignError of its root, stops the trace.  Returns, per
-    trace, its samples or the error that stopped it.  A lone trace gains
-    nothing from the lock step, so it is traced by ``trace_branch`` itself,
-    which costs less per step.
+    Each Newton step of the live traces is one ``eigen_branch`` call, with
+    the tunable parameter per row.  A row's step after one shorter than its
+    stencil's h is expected to converge: it evaluates omega alone and, in
+    the same call, the next kappa's first stencil, tracked from omega's new
+    vector, which that kappa's first step then takes (none to a repeated
+    kappa; a lone row drops one that raises).  Rows whose omega misses add
+    their +-h rows, tracked from omega's vector, in one more call.  A shared
+    call that raises is made again row by row, so each row ends as alone; a
+    failed row takes ``_halved`` from its previous sample.  At the first
+    kappa, and on an error halving does not mend, the row's own error, or
+    its root's DispersionSignError, ends the trace: per trace, the result
+    is its samples or that error.
     """
-    if len(seeds) == 1:
-        try:
-            return [trace_branch(configs[owners[0]], kappas, seeds[0])]
-        except (ArithmeticError, SlabError) as exc:
-            return [exc]
-    base = configs[0]
-    values = None
-    if len(configs) > 1:
-        values = np.array([configs[c].tunable_value for c in owners])
+    base, n = configs[0], len(configs[0].defects)
+    values = (np.array([configs[c].tunable_value for c in owners])
+              if len(configs) > 1 else None)
     out = [[] for _ in seeds]
-    # each live trace's warm start: omega and, after the first kappa, the
-    # eigenvector
-    om = np.array(seeds, dtype=complex)
-    vecs = np.zeros((len(seeds), len(base.defects)), dtype=complex)
-    # a trace is anchored once a call has returned its vector; the rows of
-    # one call are all anchored or all not
-    anchored = np.zeros(len(seeds), dtype=bool)
 
-    def branch(kappa, oms, rows):
-        t = live[rows]
-        anchors = newton_vecs[t] if anchored[t[0]] else None
-        ell, newton_vecs[t] = eigen_branch(
-            SpectralPoint(kappa, oms), base, anchors,
-            None if values is None else values[t])
-        anchored[t] = True
-        return ell
+    def branch(kappa, stencils, rows, looking=True):
+        """``_omega_newton``'s values of one Newton step of ``rows``."""
+        looking = bool(looking and k_next is not None and k_next != kappa)
+        vals, plan, at, first, oms, runs = [None] * len(rows), [], [], [], [], 0
+        stencil_list = stencils.tolist()  # Python scalars cost less per row
+        for i, (r, stencil) in enumerate(zip(rows, stencil_list)):
+            prev = last[r]
+            if prev is None and ahead[r] is not None:
+                vals[i], newton_vecs[r] = ahead[r]
+                continue
+            alone = (prev is not None and len(stencil) == 3
+                     and abs(stencil[0] - prev[0]) < abs(prev[1] - prev[0]))
+            plan.append((i, r, len(oms), runs, alone))
+            at.append(r)
+            first.append(len(oms))
+            runs += 1 + (alone and looking)
+            oms += (stencil[:1] + stencil if alone and looking
+                    else stencil[:1] if alone else stencil)
+        if plan:
+            row_values = None if values is None else live_values[at]
+            if newton_vecs[at[0]] is None:  # a first step: a trace per row
+                point, anchors = SpectralPoint(kappa, stencils), None
+            else:
+                kap = kappa
+                if runs > len(plan):  # a kappa per row, the next for lookaheads
+                    kap = np.array([kappa] * len(oms))
+                    for _, _, o, _, alone in plan:
+                        if alone:
+                            kap[o + 1:o + 4] = k_next
+                point = SpectralPoint(kap, np.array(oms))
+                anchors = newton_vecs[at[0]]
+                if len(plan) > 1:  # a row per frequency, NaN where a trace goes on
+                    anchors = np.full((len(oms), n), np.nan, dtype=complex)
+                    anchors[first] = [newton_vecs[r] for r in at]
+                if values is not None:
+                    row_values = np.repeat(row_values, np.diff([*first, len(oms)]))
+            try:
+                ells, heads = eigen_branch(point, base, anchors, row_values)
+            except (ArithmeticError, SlabError):
+                if len(plan) > 1 or runs == len(plan):
+                    raise  # made again row by row, see _omega_newton
+                return branch(kappa, stencils, rows, False)  # the lookahead is dropped
+            ells, heads = ells.ravel(), heads.reshape(-1, n)
+            missed = []
+            for i, r, o, q, alone in plan:
+                if not alone:
+                    vals[i] = ells[o:o + len(stencil_list[i])]
+                elif abs(ells[o]) < ROOT_TOL:
+                    vals[i] = (ells[o], None, None)  # converged: the slope is not used
+                    if looking:
+                        nxt[r] = (ells[o + 1:o + 4], heads[q + 1])
+                else:
+                    missed.append((i, r, o, q))
+            if missed:  # their +-h rows, each tracked from omega's vector
+                m_i, m_r, _, m_q = map(list, zip(*missed))
+                try:
+                    pm = eigen_branch(
+                        SpectralPoint(kappa, stencils[m_i, 1:].reshape(-1, 1)), base,
+                        np.repeat(heads[m_q], 2, axis=0), None if values is None
+                        else np.repeat(live_values[m_r], 2))[0].ravel()
+                except (ArithmeticError, SlabError):
+                    if len(missed) > 1:
+                        raise  # made again row by row, see _omega_newton
+                    pm = [None, None]  # no slope
+                for j, (i, _, o, _) in enumerate(missed):
+                    vals[i] = (ells[o], *pm[2 * j:2 * j + 2])
+            for _, r, _, q, _ in plan:
+                newton_vecs[r] = heads[q]
+        for r, stencil in zip(rows, stencil_list):
+            last[r] = stencil
+        return vals
 
-    live = np.arange(len(seeds))
-    k_prev = None
-    for k in kappas:
-        if not len(live):
-            break
-        newton_vecs = vecs.copy()
-        roots, residuals, errors = _omega_newton(branch, k, om[live], ROOT_TOL,
-                                                 ROOT_MAX_ITER)
+    # per live trace: its last omega and vector (or seed and anchor), lookahead
+    live, om = list(range(len(seeds))), list(map(complex, seeds))
+    vecs, ahead, k_prev = [anchor] * len(seeds), [None] * len(seeds), None
+    for k, k_next in zip(kappas, [*kappas[1:], None]):
+        newton_vecs, last, nxt = list(vecs), [None] * len(live), [None] * len(live)
+        live_values = None if values is None else values[live]
+        roots, residuals, errors = _omega_newton(branch, k, om, ROOT_TOL, ROOT_MAX_ITER)
         still = []
-        for n, t in enumerate(live):
-            error = errors[n] or _sign_error(k, roots[n])
+        for i, t in enumerate(live):
+            error = errors[i] or _sign_error(k, roots[i])
             if error is None:
-                samp = DispersionSample(k, roots[n], residuals[n],
-                                        newton_vecs[t].copy())
+                samp = DispersionSample(k, roots[i], residuals[i], newton_vecs[i])
             elif k_prev is None or not isinstance(
                     error, (ConvergenceError, BranchCollisionError)):
                 out[t] = error  # what omega_root raises; halving cannot help
                 continue
             else:
                 try:
-                    samp = _root_with_halving(k_prev, om[t], vecs[t], k,
-                                              configs[owners[t]])
+                    samp = _halved(k_prev, om[i], vecs[i], k, configs[owners[t]], 5)
                 except (ArithmeticError, SlabError) as exc:
                     out[t] = exc
                     continue
             out[t].append(samp)
-            om[t], vecs[t], anchored[t] = samp.omega, samp.vector, True
-            still.append(t)
-        live = np.array(still, dtype=int)
-        k_prev = k
+            still.append((t, samp.omega, samp.vector, nxt[i]))
+        if not still:
+            break
+        (live, om, vecs, ahead), k_prev = map(list, zip(*still)), k
     return out
 
 
@@ -594,9 +578,10 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     the one minimizing s -> min_kappa |Im omega(kappa; s)| (the minimum
     touches zero quadratically, so a sign-based bisection does not apply).
     One ``_flattest_sample`` call traces the first three branches of every
-    scan value in lock step on SCAN_KAPPAS points: each Newton step of all
-    of them is one ``eigen_branch`` call, with the parameter as a row axis,
-    and each trace keeps the bits it has when traced alone.
+    scan value in lock step on SCAN_KAPPAS points, with the lookahead of a
+    branch traced alone: each Newton step of all of them is one
+    ``eigen_branch`` call, with the parameter per row, and each trace keeps
+    the bits and evaluations it has when traced alone.
     Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
     null field's complex order-0 amplitude over (kappa, s), which converges
     to machine precision.  The result is polished by ``polish_mode``; a

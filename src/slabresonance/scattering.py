@@ -322,30 +322,29 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     an ambiguous overlap (< 0.5) between distinct eigenvalues raises
     BranchCollisionError so the caller can refine the continuation path.
 
-    ``point.omega`` may be an array of frequencies, complex ones too.  Then
-    A is built and eigendecomposed once for all rows.  A 1-D array is one
-    trace: row 0 is tracked from ``anchor``, every other row from row 0's
-    eigenvector, and the result is (array of row eigenvalues, row 0's
-    vector).  With one ``point.kappa`` per row, each run of rows at one kappa
-    is such a trace, anchored on the vector of the previous run's first row
-    (the first run on ``anchor``), and the result holds the vector of each
-    run's first row, stacked.  A 2-D array holds one trace per leading row,
-    each with its own row of ``anchor`` (or all with one anchor, or none)
-    and, if given, its own entry of ``tunable_values`` (see
-    ``lattice.effective_potential``); the result is (eigenvalues per trace
-    and column, column 0's vector per trace).  Each row has the bits of a
-    single-point call with that anchor and parameter value.
+    ``point.omega`` may be an array of (complex) frequencies: then A is
+    built and eigendecomposed once for all rows, which form traces of runs,
+    a run being a trace's rows at one kappa.  A run's first row is tracked
+    from the trace's anchor, or from the previous run's first vector, and
+    its other rows from its first row's vector.  The result is (eigenvalue
+    per row, each run's first vector, stacked).  A 1-D array is one trace:
+    a run per kappa where ``point.kappa`` has one per row, else one run,
+    whose vector alone is returned.  A 2-D ``anchor`` with a row per
+    frequency makes it several traces, each from a row with an anchor (a
+    NaN row goes on).  A 2-D array holds a trace per leading row, each with
+    its own row of ``anchor`` (or all with one, or none).  ``tunable_values``
+    has an entry per leading row (see ``lattice.effective_potential``).
+    Each row has the bits of a single-point call with that anchor and value.
     """
     evals, evecs = np.linalg.eig(interaction_matrix(point, config,
                                                     tunable_values))
     if evals.ndim == 1:
         i = _pick(evals, evecs, anchor)
         return evals[i], _gauged(evecs[:, i], anchor)
-    picks = np.empty(evals.shape[:-1], dtype=int)
-    if evals.ndim == 2:  # one trace, or one per run of a kappa per row
-        kappa = np.asarray(point.kappa)
-        starts = np.flatnonzero(kappa[1:] != kappa[:-1]) + 1 if kappa.ndim else []
-        vecs = []
+    kappa = np.asarray(point.kappa)
+    if evals.ndim == 2 and (anchor is None or anchor.ndim == 1):  # one trace
+        picks, vecs, ks = np.empty(len(evals), dtype=int), [], np.ravel(kappa).tolist()
+        starts = [i for i in range(1, len(ks)) if ks[i] != ks[i - 1]]
         for s, e in zip([0, *starts], [*starts, len(evals)]):
             picks[s] = first = _pick(evals[s], evecs[s], anchor)
             anchor = _gauged(evecs[s][:, first], anchor)
@@ -353,10 +352,23 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
                 picks[s + 1:e] = _pick(evals[s + 1:e], evecs[s + 1:e], anchor)
             vecs.append(anchor)
         return _take(evals, picks), np.array(vecs) if kappa.ndim else anchor
-    picks[:, 0] = first = _pick(evals[:, 0], evecs[:, 0], anchor)
-    vec = _gauged(evecs[np.arange(len(evals)), 0, :, first], anchor)
-    picks[:, 1:] = _pick(evals[:, 1:], evecs[:, 1:], vec[:, None, :])
-    return _take(evals, picks), vec
+    shape, n = evals.shape[:-1], evals.shape[-1]
+    evals, evecs = evals.reshape(-1, n), evecs.reshape(-1, n, n)
+    start = (np.arange(len(evals)) % shape[-1] == 0 if len(shape) == 2
+             else ~np.isnan(anchor[:, 0]))
+    anchor = anchor if len(shape) == 2 else anchor[start]
+    head = start | np.append(True, kappa[1:] != kappa[:-1]) if kappa.ndim else start
+    run = np.cumsum(head) - 1
+    place = run - run[start][np.cumsum(start) - 1]  # of a row's run in its trace
+    picks, vecs = np.empty(len(run), dtype=int), np.empty((run[-1] + 1, n), complex)
+    for j in range(place.max() + 1):  # a loop over places, not traces
+        rows = np.flatnonzero(head & (place == j))
+        ref = anchor if j == 0 else vecs[run[rows] - 1]
+        picks[rows] = first = _pick(evals[rows], evecs[rows], ref)
+        vecs[run[rows]] = _gauged(evecs[rows, :, first], ref)
+    tails = np.flatnonzero(~head)
+    picks[tails] = _pick(evals[tails], evecs[tails], vecs[run[tails]])
+    return _take(evals, picks).reshape(shape), vecs
 
 
 def coefficient_triple(point: SpectralPoint, config: LatticeConfig,

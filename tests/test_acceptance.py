@@ -303,3 +303,34 @@ def test_11_dispersion_sign(case2_config, case2_mode, case1_seed_config,
         worst = max(worst, max(s.omega.imag for s in samples))
     assert worst <= 1e-9, f"Im omega reached {worst:.3e}"
     report(11, f"Im omega <= 1e-9 on all traced branches (max {worst:.2e})")
+
+
+def test_12_asymptotic_order(case1_tuned, coeffs_case1, case2_config,
+                             coeffs_case2):
+    """The model's error falls at the paper's order: kt^2 in case 2, kt in
+    case 1.
+
+    The error is sup |T_model - T_exact| over ``anomaly_window`` on 601
+    points, at kt = 0.01 / 2^j for j = 0..3 and both signs; the log-log
+    slope of error against kt is within 0.1 of the order.  A fixed bound,
+    as in test 06, would pass a model that does not converge at all.
+    """
+    kts = 0.01 / 2.0 ** np.arange(4)
+    slopes = {}
+    for config, coeffs, order in ((case2_config, coeffs_case2, 2),
+                                  (case1_tuned[0], coeffs_case1, 1)):
+        errors = []
+        for kt in kts:
+            sup = 0.0
+            for kappa in (coeffs.kappa0 + kt, coeffs.kappa0 - kt):
+                omegas = np.linspace(*anomaly_window(coeffs, kappa), 601)
+                t_exact, _, _ = exact_transmission(config, kappa, omegas)
+                t_model = model_transmission(coeffs, kappa, omegas)
+                sup = max(sup, float(np.max(np.abs(t_model - t_exact))))
+            errors.append(sup)
+        slope = np.polyfit(np.log(kts), np.log(errors), 1)[0]
+        assert abs(slope - order) < 0.1, (
+            f"case {coeffs.case}: errors {errors}, slope {slope:.3f}")
+        slopes[coeffs.case] = slope
+    report(12, f"model error order {slopes[2]:.3f} in case 2 (kt^2), "
+               f"{slopes[1]:.3f} in case 1 (kt)")

@@ -251,19 +251,44 @@ class TestModeCommands:
         """The scan values share one eigen_branch call per Newton step.
 
         Tracing them one after another took 2,738 calls in the scan alone,
-        and a 60-kappa lock-step scan 453 calls in all.
+        a 60-kappa lock-step scan 453 calls in all, and a lock step that
+        evaluated every Newton step's whole stencil 187.
         """
         _, calls = readme_tune
-        assert calls <= 250
+        assert calls <= 175
+
+    def test_readme_tune_scan_eigen_branch_rows(self, tmp_path, monkeypatch):
+        """The tuner's scan takes one eigen_branch call per lock-step Newton
+        step, plus one per step where a row's omega misses.  Its 1,900
+        frequency rows are those of its 13 traces traced alone: a step
+        expected to converge evaluates omega alone, with the next kappa's
+        first stencil.  Every step's whole stencil took 58 calls and 2,262
+        rows."""
+        scans, flattest = [], modes._flattest_sample
+
+        def recorded(configs, *args):
+            if len(configs) == 1:  # a search at one parameter value
+                return flattest(configs, *args)
+            with counted_eigen_branch() as calls:
+                best = flattest(configs, *args)
+            scans.append(calls)
+            return best
+
+        monkeypatch.setattr(modes, "_flattest_sample", recorded)
+        assert run(README_TUNE + ["--out", str(tmp_path)]) == 0
+        [calls] = scans
+        assert len(calls) <= 46
+        assert sum(calls) <= 1900
 
     def test_readme_mode_eigen_branch_calls(self, tmp_path):
         """The README find-mode finds its mode on SCAN_KAPPAS kappa points;
-        the 200 it scanned before took 693 calls."""
+        the 200 it scanned before took 693 calls, and three calls per kappa
+        of its trace 73."""
         with counted_eigen_branch() as calls:
             assert run(["find-mode", "--config", CASE2,
                         "--kappa-range=-0.25:0.25", "--omega-range", "1.3:1.7",
                         "--out", str(tmp_path)]) == 0
-        assert len(calls) <= 100
+        assert len(calls) <= 59
 
     def test_tune_default_range_either_sign(self, tmp_path):
         """Without --param-range the range holds g and -g, which give the same
@@ -461,14 +486,15 @@ def test_find_mode_with_failed_traces_exits_3(tmp_path, capsys):
 
 @contextlib.contextmanager
 def counted_calls(name, *modules):
-    """A list that gains one entry per call of ``scattering.<name>`` inside
-    the block, made through its binding in any of ``modules``."""
+    """A list that gains, per call of ``scattering.<name>`` inside the block
+    made through its binding in any of ``modules``, the call's number of
+    frequency rows (``np.size(point.omega)``)."""
     function = getattr(scattering, name)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return function(*args, **kwargs)
+    def counted(point, *args, **kwargs):
+        calls.append(np.size(point.omega))
+        return function(point, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (scattering,) + modules:

@@ -555,24 +555,24 @@ def test_lockstep_row_whose_trace_fails(monkeypatch):
 
 
 def lockstep_fallbacks(monkeypatch):
-    """Record (kappa, config) of every _root_with_halving call _lockstep
-    makes."""
+    """Record (kappa, config) of every _halved call _lockstep makes."""
     calls = []
-    solo = modes._root_with_halving
+    solo = modes._halved
 
-    def recorded(k_prev, om, vec, k, config, depth=6):
+    def recorded(k_prev, om, vec, k, config, depth):
         if sys._getframe(1).f_code.co_name == "_lockstep":
             calls.append((k, config))
         return solo(k_prev, om, vec, k, config, depth)
 
-    monkeypatch.setattr(modes, "_root_with_halving", recorded)
+    monkeypatch.setattr(modes, "_halved", recorded)
     return calls
 
 
 def test_lockstep_failed_call_is_retried_per_row(monkeypatch):
-    """A batched eigen_branch call that raises at a later kappa is made again
-    for each of its rows on its own stencil: no row reaches the solo path,
-    and every trace keeps the bits of trace_branch."""
+    """A batched eigen_branch call of several traces that raises at a later
+    kappa is made again for each of its rows on its own stencil: no row
+    reaches the halving path, and every trace keeps the bits of
+    trace_branch."""
     config = replace(CASE1_SEED, tunable="pendants.0.g")
     configs = [config.with_tunable(g) for g in (0.3, 0.4, 0.5)]
     kappas = np.linspace(0.08, 0.32, 12)
@@ -580,11 +580,13 @@ def test_lockstep_failed_call_is_retried_per_row(monkeypatch):
     batched = modes.eigen_branch
     failed = []
 
-    def eigen_branch(point, *args):
-        if np.ndim(point.omega) == 2 and point.kappa == kappas[5] and not failed:
-            failed.append(len(point.omega))
+    def eigen_branch(point, config, anchor=None, *args):
+        # an anchor per frequency row: the rows of several traces
+        if (np.ndim(point.omega) == 1 and np.ndim(anchor) == 2
+                and np.ravel(point.kappa)[0] == kappas[5] and not failed):
+            failed.append(np.count_nonzero(~np.isnan(anchor[:, 0])))
             raise ArithmeticError("injected failure of a batched call")
-        return batched(point, *args)
+        return batched(point, config, anchor, *args)
 
     monkeypatch.setattr(modes, "eigen_branch", eigen_branch)
     fallbacks = lockstep_fallbacks(monkeypatch)
@@ -874,3 +876,119 @@ def test_trace_next_kappa_at_a_wood_point():
                 trace_branch(CASE2, kappas, seed)
         assert ("lookahead", WoodAnomalyError) in calls
         assert_trace_equals_chain(CASE2, kappas, seed)
+
+
+@contextlib.contextmanager
+def lockstep_calls():
+    """A list that gains, per eigen_branch call of ``modes`` inside the
+    block: the shape of its frequencies, its number of traces, its kappas
+    and the class of the error it raised (or None).  With a 2-D anchor for
+    a 1-D array of frequencies, each row with an anchor starts a trace."""
+    calls = []
+    branch = modes.eigen_branch
+
+    def recorded(point, config, anchor=None, *args):
+        shape = np.shape(point.omega)
+        traces = (shape[0] if len(shape) == 2 else
+                  np.count_nonzero(~np.isnan(anchor[:, 0])) if np.ndim(anchor) == 2
+                  else 1)
+        entry = [shape, traces, set(np.ravel(point.kappa).tolist()), None]
+        calls.append(entry)
+        try:
+            return branch(point, config, anchor, *args)
+        except (ArithmeticError, SlabError) as exc:
+            entry[3] = type(exc)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "eigen_branch", recorded)
+        yield calls
+
+
+def scan_case(n_kappa):
+    """Three values of CASE1_SEED's pendant g and the first seed of each."""
+    config = replace(CASE1_SEED, tunable="pendants.0.g")
+    configs = [config.with_tunable(g) for g in (0.3, 0.4, 0.5)]
+    kappas = np.linspace(0.08, 0.32, n_kappa)
+    return configs, kappas, [branch_seeds(c, kappas[0], (1.30, 1.46))[0]
+                             for c in configs]
+
+
+def test_lockstep_with_forced_misses():
+    """The 2**14 eigenvalue scaling of ``test_trace_with_forced_misses`` on
+    three lock-step traces: steps expected to converge miss, the missed rows
+    of a step share their +-h call, and every trace keeps its solo bits."""
+    configs, kappas, seeds = scan_case(40)
+    branch = modes.eigen_branch
+
+    def scaled(point, *args):
+        ell, vec = branch(point, *args)
+        return ell * 2.0**14, vec
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "eigen_branch", scaled)
+        with lockstep_calls() as calls:
+            assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
+    completions = [shape[0] // 2 for shape, *_ in calls
+                   if len(shape) == 2 and shape[1] == 1]
+    assert max(completions) == 3
+    assert completions.count(1) >= 10
+
+
+def test_lockstep_next_kappa_collides():
+    """On trace_case(379) the rows of the first seed's lookahead collide at
+    the next kappa.  Traced twice in lock step, with the second seed too,
+    the two copies share that lookahead's call; it is made again row by
+    row, each copy drops its lookahead, and every trace keeps its solo
+    bits."""
+    config, kappas, seeds = trace_case(379)
+    with lockstep_calls() as calls:
+        assert_lockstep_equals_traces([config], [0, 0, 0], kappas,
+                                      [seeds[0], seeds[0], seeds[1]])
+    assert any(traces == 2 and len(ks) == 2 and error is BranchCollisionError
+               for _, traces, ks, error in calls)
+
+
+def test_lockstep_with_repeated_kappas():
+    """A path that repeats kappas, traced in lock step from both CASE2
+    seeds: the only lookaheads go from 0.12 to 0.14, the converging step at
+    the first 0.14 evaluates omega alone for both traces, and each trace
+    keeps its solo bits."""
+    kappas = np.array([0.1, 0.1, 0.12, 0.14, 0.14, 0.16])
+    seeds = branch_seeds(CASE2, kappas[0], (1.3, 1.7))
+    with lockstep_calls() as calls:
+        assert_lockstep_equals_traces([CASE2], [0, 0], kappas, seeds)
+    looks = [traces for _, traces, ks, _ in calls if len(ks) > 1]
+    assert 2 in looks
+    assert all(ks == {0.12, 0.14} for _, _, ks, _ in calls if len(ks) > 1)
+    assert [(2,), 2, {0.14}, None] in calls
+
+
+def test_lockstep_one_lookahead_raises():
+    """The lookahead of the g = 0.4 trace into kappas[6] raises (an injected
+    Wood anomaly); those of the other two do not.  Their shared call is made
+    again row by row: the g = 0.4 row drops its lookahead, and the other two
+    take theirs, so kappas[6]'s first call holds the g = 0.4 row alone.
+    Every trace keeps its solo bits."""
+    configs, kappas, seeds = scan_case(12)
+    branch = modes.eigen_branch
+
+    def eigen_branch(point, config, anchor=None, tunable_values=None):
+        kappa = np.broadcast_to(point.kappa, np.shape(point.omega))
+        value = config.tunable_value if tunable_values is None else tunable_values
+        ahead = (kappa == kappas[6]) & (kappa != kappa.flat[0])
+        if np.any(ahead & (np.reshape(value, (-1,) + (1,) * (kappa.ndim - 1)) == 0.4)):
+            raise WoodAnomalyError("injected: a lookahead into kappas[6]")
+        return branch(point, config, anchor, tunable_values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modes, "eigen_branch", eigen_branch)
+        got = modes._lockstep(configs, [0, 1, 2], kappas, seeds)
+        with lockstep_calls() as calls:
+            assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
+    assert all(isinstance(trace, list) and len(trace) == 12 for trace in got)
+    failed = [traces for _, traces, ks, error in calls
+              if error is WoodAnomalyError]
+    assert 3 in failed and 1 in failed
+    first = next(entry for entry in calls if entry[2] == {kappas[6]})
+    assert first[:2] == [(3,), 1]
