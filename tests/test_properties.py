@@ -350,6 +350,40 @@ def test_eigen_branch_with_a_kappa_per_row(seed):
     assert bits(got[1]) == bits(want[1])
 
 
+@examples(40)
+@given(SEEDS)
+def test_eigen_branch_with_several_traces(seed):
+    """Two or three traces in one 1-D frequency array, each started by its
+    row of a 2-D anchor (NaN on the rows that continue it) and holding one
+    or two runs of one to three complex rows, each run at its own real
+    kappa: the bits of one call per trace, or an error where one of those
+    calls raises."""
+    rng = np.random.default_rng(seed)
+    config = random_lossless_config(rng)
+    traces, anchors = [], []
+    for _ in range(int(rng.integers(2, 4))):
+        sizes = rng.integers(1, 4, int(rng.integers(1, 3)))
+        kappas = np.repeat(rng.uniform(-0.4, 0.4, len(sizes)), sizes)
+        oms = rng.uniform(0.2, 2.8, len(kappas)) - 1j * rng.uniform(0.0, 0.2, len(kappas))
+        near = SpectralPoint(kappas[0], oms[0] + complex(*rng.uniform(-0.1, 0.1, 2)))
+        anchor = outcome(eigen_branch, near, config)[1]
+        if isinstance(anchor, str):
+            reject()
+        traces.append(SpectralPoint(kappas, oms))
+        anchors.append(np.full((len(oms), len(anchor)), np.nan, dtype=complex))
+        anchors[-1][0] = anchor
+    want = [outcome(per_run_branch, trace, config, rows[0])
+            for trace, rows in zip(traces, anchors)]
+    point = SpectralPoint(np.concatenate([t.kappa for t in traces]),
+                          np.concatenate([t.omega for t in traces]))
+    got = outcome(eigen_branch, point, config, np.concatenate(anchors))
+    if any(isinstance(w[0], type) for w in want):
+        assert isinstance(got[0], type)
+        return
+    assert bits(got[0]) == bits(np.concatenate([w[0] for w in want]))
+    assert bits(got[1]) == bits(np.concatenate([w[1] for w in want]))
+
+
 def per_row_triples(point, config, anchor):
     """coefficient_triple at each row of ``point`` alone: its result or error."""
     return [outcome(coefficient_triple, SpectralPoint(point.kappa, om), config,
