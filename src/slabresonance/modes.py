@@ -451,17 +451,19 @@ def _lockstep(configs, owners, kappas, seeds, anchor=None):
     every t, the traces advancing together one kappa at a time.
 
     Each Newton step of the live traces is one ``eigen_branch`` call, with
-    the tunable parameter per row.  A row's step after one shorter than its
-    stencil's h is expected to converge: it evaluates omega alone and, in
-    the same call, the next kappa's first stencil, tracked from omega's new
-    vector, which that kappa's first step then takes (none to a repeated
-    kappa; a lone row drops one that raises).  Rows whose omega misses add
-    their +-h rows, tracked from omega's vector, in one more call.  A shared
-    call that raises is made again row by row, so each row ends as alone; a
-    failed row takes ``_halved`` from its previous sample.  At the first
-    kappa, and on an error halving does not mend, the row's own error, or
-    its root's DispersionSignError, ends the trace: per trace, the result
-    is its samples or that error.
+    the parameter per row, of 2-D frequencies (a trace per row) only at the
+    first step of several anchorless traces.  A row's step after one shorter
+    than its stencil's h evaluates omega alone and, in the same call, the
+    next kappa's first stencil, tracked from omega's new vector, which that
+    kappa's first step takes (none to a repeated kappa; a lone row drops one
+    that raises); only a call with such rows has a kappa per frequency, as a
+    scalar costs less.  Rows whose omega misses add their +-h rows, from
+    omega's vector, in one 2-D call; only then are the step's vectors
+    stored, as a shared call that raises is made again row by row from the
+    vectors the step started with.  A failed row takes ``_halved`` from its
+    previous sample.  At the first kappa, and on an error halving does not
+    mend, the row's own error, or its root's DispersionSignError, ends the
+    trace: per trace, the result is its samples or that error.
     """
     base, n = configs[0], len(configs[0].defects)
     values = (np.array([configs[c].tunable_value for c in owners])
@@ -471,7 +473,8 @@ def _lockstep(configs, owners, kappas, seeds, anchor=None):
     def branch(kappa, stencils, rows, looking=True):
         """``_omega_newton``'s values of one Newton step of ``rows``."""
         looking = bool(looking and k_next is not None and k_next != kappa)
-        vals, plan, at, first, oms, runs = [None] * len(rows), [], [], [], [], 0
+        vals, plan, at, first, runs = [None] * len(rows), [], [], [], 0
+        oms, kaps = [], []  # the call's frequencies and a kappa beside each
         stencil_list = stencils.tolist()  # Python scalars cost less per row
         for i, (r, stencil) in enumerate(zip(rows, stencil_list)):
             prev = last[r]
@@ -486,18 +489,15 @@ def _lockstep(configs, owners, kappas, seeds, anchor=None):
             runs += 1 + (alone and looking)
             oms += (stencil[:1] + stencil if alone and looking
                     else stencil[:1] if alone else stencil)
+            kaps += ((kappa, k_next, k_next, k_next) if alone and looking
+                     else (kappa,) * (len(oms) - len(kaps)))
         if plan:
             row_values = None if values is None else live_values[at]
-            if newton_vecs[at[0]] is None:  # a first step: a trace per row
+            if newton_vecs[at[0]] is None and len(plan) > 1:  # a trace per row
                 point, anchors = SpectralPoint(kappa, stencils), None
             else:
-                kap = kappa
-                if runs > len(plan):  # a kappa per row, the next for lookaheads
-                    kap = np.array([kappa] * len(oms))
-                    for _, _, o, _, alone in plan:
-                        if alone:
-                            kap[o + 1:o + 4] = k_next
-                point = SpectralPoint(kap, np.array(oms))
+                point = SpectralPoint(np.array(kaps) if runs > len(plan) else kappa,
+                                      np.array(oms))
                 anchors = newton_vecs[at[0]]
                 if len(plan) > 1:  # a row per frequency, NaN where a trace goes on
                     anchors = np.full((len(oms), n), np.nan, dtype=complex)
@@ -578,10 +578,7 @@ def tune_structure(config: LatticeConfig, kappa_target_range,
     the one minimizing s -> min_kappa |Im omega(kappa; s)| (the minimum
     touches zero quadratically, so a sign-based bisection does not apply).
     One ``_flattest_sample`` call traces the first three branches of every
-    scan value in lock step on SCAN_KAPPAS points, with the lookahead of a
-    branch traced alone: each Newton step of all of them is one
-    ``eigen_branch`` call, with the parameter per row, and each trace keeps
-    the bits and evaluations it has when traced alone.
+    scan value on SCAN_KAPPAS points, each with the bits and rows it has alone.
     Stage 2 starts from that scan point and runs a 2D Gauss-Newton on the
     null field's complex order-0 amplitude over (kappa, s), which converges
     to machine precision.  The result is polished by ``polish_mode``; a

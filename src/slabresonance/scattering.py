@@ -332,9 +332,11 @@ def eigen_branch(point: SpectralPoint, config: LatticeConfig,
     whose vector alone is returned.  A 2-D ``anchor`` with a row per
     frequency makes it several traces, each from a row with an anchor (a
     NaN row goes on).  A 2-D array holds a trace per leading row, each with
-    its own row of ``anchor`` (or all with one, or none).  ``tunable_values``
-    has an entry per leading row (see ``lattice.effective_potential``).
-    Each row has the bits of a single-point call with that anchor and value.
+    its own row of ``anchor`` (or all with one, or none); ``modes._lockstep``
+    sends it its +-h rows and the first step of several anchorless traces.
+    ``tunable_values`` has an entry per leading row (see
+    ``lattice.effective_potential``).  Each row has the bits of a
+    single-point call with that anchor and value.
     """
     evals, evecs = np.linalg.eig(interaction_matrix(point, config,
                                                     tunable_values))

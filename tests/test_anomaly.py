@@ -13,11 +13,13 @@ from slabresonance import (
     peak_dip_locations,
     phase_curve,
 )
+from slabresonance import anomaly
 from slabresonance.anomaly import (
     anomaly_window,
     exact_transmission,
     model_transmission,
 )
+from slabresonance.errors import ConvergenceError
 from slabresonance.expansion import ExpansionCoefficients
 from slabresonance.modes import omega_root
 from slabresonance.scattering import peak_field, solve_grid
@@ -48,6 +50,12 @@ class TestFormulaLimits:
         kt = 0.01
         omega_dip = c.omega0 - 0.3 * kt - c.t2.real * kt * kt
         assert formula_case1(c, c.kappa0 + kt, omega_dip) < 1e-10
+
+    def test_case1_center_raises(self):
+        """At kappa0, omega0 the case-1 denominator is exactly zero."""
+        c = synthetic_coeffs(case=1, l1=0.3 + 0j)
+        with pytest.raises(ConvergenceError, match="denominator vanished"):
+            formula_case1(c, c.kappa0, c.omega0)
 
     def test_case2_continuity_at_center(self, coeffs_case2):
         c = coeffs_case2
@@ -205,6 +213,15 @@ class TestEnhancement:
         no monotone order: all are refused before any solve."""
         with pytest.raises(ValueError, match="two distinct, nonzero"):
             enhancement_scaling(case2_config, case2_mode, kts)
+
+    def test_peaks_that_do_not_grow_raise(self, case2_config, case2_mode,
+                                          monkeypatch):
+        """A peak that does not grow as |kt| shrinks (here every peak is 1)
+        is refused as a window problem, not fitted."""
+        monkeypatch.setattr(anomaly, "peak_field",
+                            lambda point, config, psi: np.ones(len(psi)))
+        with pytest.raises(ConvergenceError, match="peaks not monotone"):
+            enhancement_scaling(case2_config, case2_mode, [0.02, 0.01])
 
     def test_peaks_reach_fine_grid_maximum(self, mode_case):
         """Each peak is at least the maximum of a 2001-point grid on its window."""

@@ -200,6 +200,11 @@ class TestCoefficients:
         assert abs(up - bg["t0"]) < 1e-4
         assert abs(bg["r0"] ** 2 + bg["t0"] ** 2 - 1.0) < 1e-6
 
+    def test_case1_background_needs_curve_coefficients(self, case2_config,
+                                                      case2_mode):
+        with pytest.raises(ValueError, match="needs l1, l2, t2"):
+            extract_background(case2_mode, case2_config, case=1)
+
     def test_case2_kappa_limit_matches_ratio(self, case2_config, coeffs_case2):
         """lim T(kappa, omega0) = t0 |t2 / l2| as kappa -> kappa0."""
         c = coeffs_case2

@@ -102,6 +102,10 @@ class TestPropagatingOrders:
         mask = propagating_orders(SpectralPoint(0.0, 1.0), 2)
         assert list(mask) == [True, False]
 
+    def test_complex_omega_rejected(self):
+        with pytest.raises(ValueError, match="expects real kappa and omega"):
+            propagating_orders(SpectralPoint(0.06, 0.98 - 1e-3j), 3)
+
     def test_wood_guard(self):
         # omega = 2 sin(kappa/2) puts order 0 exactly at its branch point
         kappa = 0.3

@@ -20,6 +20,7 @@ from slabresonance.errors import (
     BranchCollisionError,
     ConfigError,
     ConvergenceError,
+    DispersionSignError,
     PendantPoleError,
 )
 from slabresonance.lattice import effective_potential, greens_function, order_arrays
@@ -75,6 +76,13 @@ class TestOmegaRootErrors:
         eigen_branch(SpectralPoint(0.2, om), case1_seed_config)  # om is valid
         with pytest.raises(ConvergenceError, match="derivative stencil"):
             omega_root(0.2, om, case1_seed_config)
+
+    def test_root_breaks_the_dispersion_sign(self, case2_config, monkeypatch):
+        """Under a negative IM_OMEGA_TOL a root with Im omega <= 0 breaks
+        the sign bound, and omega_root raises rather than return it."""
+        monkeypatch.setattr(modes, "IM_OMEGA_TOL", -1e-4)
+        with pytest.raises(DispersionSignError, match="at real kappa=0.0"):
+            omega_root(0.0, 1.45, case2_config)
 
     def test_branch_collision_at_guess(self, case1_seed_config):
         point = SpectralPoint(0.1, 1.2)

@@ -969,6 +969,40 @@ def test_lockstep_with_forced_misses():
     assert completions.count(1) >= 10
 
 
+def test_lockstep_shared_completion_raises(monkeypatch):
+    """The forced misses of ``test_lockstep_with_forced_misses``, and a Wood
+    anomaly injected at the first missed row's omega + h in the first +-h
+    call of three missed rows past the first kappa.  That shared call
+    raises, so the step is made again row by row from the vectors it
+    started with; the first row's own +-h call raises, its Newton fails
+    without a slope and it halves.  Every trace keeps its solo bits, which
+    the same (kappa, omega) fails alike."""
+    configs, kappas, seeds = scan_case(40)
+    branch = modes.eigen_branch
+    held, wood = [], []
+
+    def scaled(point, *args):
+        omega = np.asarray(point.omega)
+        if omega.shape == (6, 1) and point.kappa != kappas[0]:
+            held.append((point.kappa, omega[0, 0]))
+        if wood and np.any((point.kappa == wood[0][0]) & (omega == wood[0][1])):
+            raise WoodAnomalyError("injected: a frequency of a +-h call")
+        ell, vec = branch(point, *args)
+        return ell * 2.0**14, vec
+
+    monkeypatch.setattr(modes, "eigen_branch", scaled)
+    modes._lockstep(configs, [0, 1, 2], kappas, seeds)
+    wood.append(held[0])
+    fallbacks = lockstep_fallbacks(monkeypatch)
+    with lockstep_calls() as calls:
+        assert_lockstep_equals_traces(configs, [0, 1, 2], kappas, seeds)
+    completions = [(shape[0] // 2, error) for shape, *_, error in calls
+                   if len(shape) == 2 and shape[1] == 1]
+    shared = completions.index((3, WoodAnomalyError))
+    assert completions[shared + 1] == (1, WoodAnomalyError)
+    assert [k for k, _ in fallbacks] == [wood[0][0]] * 2  # lock step, then solo
+
+
 def test_lockstep_next_kappa_collides():
     """On trace_case(379) the rows of the first seed's lookahead collide at
     the next kappa.  Traced twice in lock step, with the second seed too,
@@ -996,6 +1030,19 @@ def test_lockstep_with_repeated_kappas():
     assert 2 in looks
     assert all(ks == {0.12, 0.14} for _, _, ks, _ in calls if len(ks) > 1)
     assert [(2,), 2, {0.14}, None] in calls
+
+
+@pytest.mark.parametrize("n_traces, layout", [(1, [(3,), 1]), (2, [(2, 3), 2])],
+                         ids=["lone", "several"])
+def test_lockstep_first_step_layout(n_traces, layout):
+    """Without an anchor, a lone trace's first Newton step is a one-trace
+    call of its three frequencies, and that of several traces is one 2-D
+    call, a trace per row; every trace keeps its solo bits."""
+    kappas = np.linspace(0.1, 0.14, 3)
+    seeds = branch_seeds(CASE2, kappas[0], (1.3, 1.7))[:n_traces]
+    with lockstep_calls() as calls:
+        assert_lockstep_equals_traces([CASE2], [0] * n_traces, kappas, seeds)
+    assert calls[0][:2] == layout
 
 
 def test_lockstep_one_lookahead_raises():
